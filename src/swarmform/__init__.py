@@ -13,14 +13,13 @@ from .apf import (
     PenetrationWarning,
     attractive_velocity,
     desired_velocity,
+    potential_field,
     repulsive_velocity,
 )
 from .bench import BenchReport, StepStats, bench, collect_samples
 from .constraints import (
     ConstraintSpec,
     OutsideHardSetError,
-    ScaleDerivativeScaling,
-    assemble_A,
     hard_scale_factor,
     project_scaling,
     project_soft,
@@ -38,7 +37,7 @@ from .fileio import (
     scenario_to_dict,
     write_metrics_summary,
 )
-from .network import CommGraph, build_graph, exchange
+from .network import CommGraph, build_graph, exchange, square_distances
 from .planner import (
     NonFiniteInputError,
     PlannerGains,

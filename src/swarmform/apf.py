@@ -8,6 +8,11 @@ robot.  Repulsion magnitude is k_rep * (1/d - 1/nu) inside the cutoff
 distance nu and zero beyond it, with d the surface distance after clearance
 inflation.  These formulas are in velocity units so their outputs add
 directly into the desired velocity.
+
+`potential_field` evaluates the field for a whole swarm at once from the
+robots' pairwise squared distances (the ones the communication graph is
+built from).  The per-robot functions are views of it, so the field has one
+implementation.
 """
 
 from __future__ import annotations
@@ -70,16 +75,87 @@ class Obstacle:
         return math.hypot(float(p[0]) - self.center[0], float(p[1]) - self.center[1]) - self.radius
 
 
+def obstacle_arrays(obstacles) -> tuple[np.ndarray, np.ndarray]:
+    """Centres (O, 2) and radii (O,) of a sequence of obstacles."""
+    centers = np.array([o.center for o in obstacles], dtype=float).reshape(-1, 2)
+    radii = np.array([o.radius for o in obstacles], dtype=float)
+    return centers, radii
+
+
+def _attraction(points: np.ndarray, goals: np.ndarray, gains: ApfGains) -> np.ndarray:
+    d = goals - points
+    dist = np.hypot(d[:, 0], d[:, 1])
+    speed = np.where(dist > gains.rho, gains.k_att, gains.k_att * dist / gains.rho)
+    at_goal = dist == 0.0
+    v = speed[:, None] * d / np.where(at_goal, 1.0, dist)[:, None]
+    return np.where(at_goal[:, None], 0.0, v)
+
+
+def _away(d: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Unit vectors along the rows of `d`, whose lengths are `norm`.
+
+    Coincident points give no direction, so they get a fixed one and the
+    output stays deterministic.
+    """
+    coincident = norm == 0.0
+    away = d / np.where(coincident, 1.0, norm)[:, None]
+    away[coincident] = (1.0, 0.0)
+    return away
+
+
+def _repulsion(surface: np.ndarray, away: np.ndarray, gains: ApfGains) -> np.ndarray:
+    d = surface - gains.xi
+    for di in d[d <= 0.0].tolist():
+        warnings.warn(
+            f"inflated surface distance {di:.4f} m <= 0; clamping to {REPULSION_FLOOR}",
+            PenetrationWarning,
+            stacklevel=3,
+        )
+    d = np.where(d < REPULSION_FLOOR, REPULSION_FLOOR, d)
+    active = d < gains.nu
+    mag = gains.k_rep * (1.0 / d - 1.0 / gains.nu)
+    return np.where(active[:, None], mag[:, None] * away, 0.0)
+
+
+def potential_field(
+    points: np.ndarray,
+    goals: np.ndarray,
+    obstacle_centers: np.ndarray,
+    obstacle_radii: np.ndarray,
+    robots: np.ndarray,
+    robot_d2: np.ndarray,
+    gains: ApfGains,
+) -> np.ndarray:
+    """Desired velocity at each of M points: attraction toward its goal plus
+    repulsion from its nearest obstacle and its nearest robot.
+
+    `points` and `goals` are (M, 2), the obstacles (O, 2) centres and (O,)
+    radii, `robots` (K, 2) positions and `robot_d2` (M, K) the squared
+    distances from each point to each robot, +inf where a robot must be
+    ignored (the point itself).  Ties break toward the lowest index.  One
+    :class:`PenetrationWarning` is emitted per clamped repulsion.
+    """
+    v = _attraction(points, goals, gains)
+    rows = np.arange(len(points))
+    if len(obstacle_radii):
+        dx = points[:, None, 0] - obstacle_centers[None, :, 0]
+        dy = points[:, None, 1] - obstacle_centers[None, :, 1]
+        norm = np.hypot(dx, dy)
+        surface = norm - obstacle_radii
+        k = np.argmin(surface, axis=1)
+        away = _away(points - obstacle_centers[k], norm[rows, k])
+        v = v + _repulsion(surface[rows, k], away, gains)
+    if robot_d2.shape[1]:
+        k = np.argmin(robot_d2, axis=1)
+        dist = np.sqrt(robot_d2[rows, k])
+        v = v + _repulsion(dist, _away(points - robots[k], dist), gains)
+    return v
+
+
 def attractive_velocity(p, p_goal, gains: ApfGains) -> np.ndarray:
     """Velocity pulling toward the goal: constant speed k_att outside the
     switch distance, linearly ramped inside it, exactly zero at the goal."""
-    dx = float(p_goal[0]) - float(p[0])
-    dy = float(p_goal[1]) - float(p[1])
-    dist = math.hypot(dx, dy)
-    if dist == 0.0:
-        return np.zeros(2)
-    speed = gains.k_att if dist > gains.rho else gains.k_att * dist / gains.rho
-    return np.array([speed * dx / dist, speed * dy / dist])
+    return _attraction(_row(p), _row(p_goal), gains)[0]
 
 
 def repulsive_velocity(surface_distance: float, away_direction, gains: ApfGains) -> np.ndarray:
@@ -91,31 +167,7 @@ def repulsive_velocity(surface_distance: float, away_direction, gains: ApfGains)
     inflated distance flags :class:`PenetrationWarning` and clamps to the
     floor instead of blowing up.
     """
-    d = float(surface_distance) - gains.xi
-    if d <= 0.0:
-        warnings.warn(
-            f"inflated surface distance {d:.4f} m <= 0; clamping to {REPULSION_FLOOR}",
-            PenetrationWarning,
-            stacklevel=2,
-        )
-        d = REPULSION_FLOOR
-    elif d < REPULSION_FLOOR:
-        d = REPULSION_FLOOR
-    if d >= gains.nu:
-        return np.zeros(2)
-    mag = gains.k_rep * (1.0 / d - 1.0 / gains.nu)
-    return np.array([mag * float(away_direction[0]), mag * float(away_direction[1])])
-
-
-def _away_direction(p, source) -> tuple[float, float]:
-    dx = float(p[0]) - float(source[0])
-    dy = float(p[1]) - float(source[1])
-    norm = math.hypot(dx, dy)
-    if norm == 0.0:
-        # Coincident points give no direction; pick a fixed one so the
-        # output stays deterministic.
-        return (1.0, 0.0)
-    return (dx / norm, dy / norm)
+    return _repulsion(np.array([float(surface_distance)]), _row(away_direction), gains)[0]
 
 
 def desired_velocity(p, p_goal, obstacles, other_robots, gains: ApfGains) -> np.ndarray:
@@ -125,31 +177,15 @@ def desired_velocity(p, p_goal, obstacles, other_robots, gains: ApfGains) -> np.
     Only the single closest obstacle and the single closest robot
     contribute; ties break toward the lowest index.
     """
-    px, py = float(p[0]), float(p[1])
-    v = attractive_velocity((px, py), p_goal, gains)
+    point = _row(p)
+    robots = np.asarray(other_robots, dtype=float).reshape(-1, 2)
+    dx = point[:, 0:1] - robots[None, :, 0]
+    dy = point[:, 1:2] - robots[None, :, 1]
+    centers, radii = obstacle_arrays(obstacles)
+    return potential_field(
+        point, _row(p_goal), centers, radii, robots, dx * dx + dy * dy, gains
+    )[0]
 
-    nearest_obs = None
-    nearest_obs_dist = math.inf
-    for obs in obstacles:
-        cx, cy = obs.center
-        d = math.hypot(px - cx, py - cy) - obs.radius
-        if d < nearest_obs_dist:
-            nearest_obs_dist = d
-            nearest_obs = obs
-    if nearest_obs is not None:
-        v = v + repulsive_velocity(
-            nearest_obs_dist, _away_direction((px, py), nearest_obs.center), gains
-        )
 
-    nearest_robot = None
-    nearest_robot_dist = math.inf
-    for other in other_robots:
-        d = math.hypot(px - other[0], py - other[1])
-        if d < nearest_robot_dist:
-            nearest_robot_dist = d
-            nearest_robot = other
-    if nearest_robot is not None:
-        v = v + repulsive_velocity(
-            nearest_robot_dist, _away_direction((px, py), nearest_robot), gains
-        )
-    return v
+def _row(xy) -> np.ndarray:
+    return np.array([[float(xy[0]), float(xy[1])]])

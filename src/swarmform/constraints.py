@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import FormationParams, ParamDerivative
+from .transform import FormationParams
 
 # Relative slack on the squared-norm test of the disk membership check.
 # Keeps the projection exactly idempotent in floating point: every output
@@ -175,36 +175,3 @@ def hard_scale_factor(s, ds, spec: ConstraintSpec) -> float:
                 a = min(a, root)
     return a
 
-
-@dataclass(frozen=True, slots=True)
-class ScaleDerivativeScaling:
-    """Diagonal action (a_phi, a_s, a_s, a_t, a_t) on a parameter derivative.
-
-    Rotation and translation are unconstrained, so their factors are pinned
-    to one; only the scaling factor varies in [0, 1].
-    """
-
-    a_s: float
-    a_phi: float = 1.0
-    a_t: float = 1.0
-
-    def __post_init__(self):
-        if self.a_phi != 1.0 or self.a_t != 1.0:
-            raise ValueError("a_phi and a_t are fixed at 1")
-        if not (0.0 <= self.a_s <= 1.0) or not math.isfinite(self.a_s):
-            raise ValueError(f"a_s must lie in [0, 1], got {self.a_s}")
-
-    def diagonal(self) -> np.ndarray:
-        return np.array([1.0, self.a_s, self.a_s, 1.0, 1.0])
-
-    def apply(self, d: ParamDerivative) -> ParamDerivative:
-        if self.a_s == 1.0:
-            return d
-        return ParamDerivative(
-            d.d_phi, self.a_s * d.d_sx, self.a_s * d.d_sy, d.d_tx, d.d_ty
-        )
-
-
-def assemble_A(a_s: float) -> ScaleDerivativeScaling:
-    """Build the diagonal derivative-scaling action for a given scale factor."""
-    return ScaleDerivativeScaling(a_s=float(a_s))

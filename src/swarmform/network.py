@@ -1,9 +1,11 @@
 """Range-based communication graph and synchronous parameter exchange.
 
-The graph is rebuilt from true positions every tick (O(N^2) pairwise, fine
-at desk scale) and the exchange delivers each robot exactly its neighbours'
-parameter vectors — nothing else ever crosses the robot boundary, which is
-what the planner's decentralization contract relies on.
+The graph is rebuilt from true positions every tick.  `square_distances`
+computes the swarm's pairwise squared distances in one array operation, and
+the simulator computes them once per tick: `build_graph` takes them as
+given and the potential field reuses them.  Each robot receives exactly its
+neighbours' parameter vectors and nothing else ever crosses the robot
+boundary, which is what the planner's decentralization contract relies on.
 """
 
 from __future__ import annotations
@@ -33,35 +35,45 @@ class CommGraph:
         return len(self.neighbors[i])
 
 
-def build_graph(positions, r_c: float, r_d: float) -> CommGraph:
+def square_distances(positions) -> np.ndarray:
+    """(N, N) squared distances between robots, +inf on the diagonal.
+
+    The infinite diagonal keeps a robot out of its own neighbourhood and
+    out of its own nearest-robot search.
+    """
+    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
+    dx = pts[:, None, 0] - pts[None, :, 0]
+    dy = pts[:, None, 1] - pts[None, :, 1]
+    d2 = dx * dx + dy * dy
+    np.fill_diagonal(d2, np.inf)
+    return d2
+
+
+def build_graph(positions, r_c: float, r_d: float, d2=None) -> CommGraph:
     """Build the communication graph from current positions.
 
     Edges are exactly the pairs within `r_c`, inclusive of the boundary.
+    `d2` is the positions' :func:`square_distances`, when already computed.
     Requires r_c > 0 and 0 < r_d <= r_c.
     """
     if not r_c > 0.0:
         raise ValueError(f"r_c must be > 0, got {r_c}")
     if not 0.0 < r_d <= r_c:
         raise ValueError(f"r_d must satisfy 0 < r_d <= r_c, got {r_d}")
-    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-    n = len(pts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    within = dist2 <= r_c * r_c
-    edges = []
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if within[i, j]:
-                edges.append((i, j))
-                neighbors[i].append(j)
-                neighbors[j].append(i)
+    if d2 is None:
+        d2 = square_distances(positions)
+    rows, cols = np.nonzero(d2 <= r_c * r_c)  # row-major: by robot, then by id
+    ends = np.cumsum(np.bincount(rows, minlength=len(d2))).tolist()
+    upper = rows < cols
+    edges = frozenset(zip(rows[upper].tolist(), cols[upper].tolist()))
+    cols = cols.tolist()
+    neighbors = tuple(tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
     return CommGraph(
-        n=n,
-        edges=frozenset(edges),
+        n=len(d2),
+        edges=edges,
         r_c=float(r_c),
         r_d=float(r_d),
-        neighbors=tuple(tuple(nb) for nb in neighbors),
+        neighbors=neighbors,
     )
 
 

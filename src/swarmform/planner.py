@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSpec, assemble_A, hard_scale_factor, project_scaling
+from .constraints import ConstraintSpec, hard_scale_factor, project_scaling
 from .transform import FormationParams, ParamDerivative, apply_transform, jacobian, pseudo_inverse
 
 
@@ -130,7 +130,12 @@ def scale_derivative(
     a_s = hard_scale_factor(
         (eta.sx, eta.sy), (dt * d_raw.d_sx, dt * d_raw.d_sy), spec
     )
-    return assemble_A(a_s).apply(d_raw), a_s
+    if a_s == 1.0:
+        return d_raw, a_s
+    scaled = ParamDerivative(
+        d_raw.d_phi, a_s * d_raw.d_sx, a_s * d_raw.d_sy, d_raw.d_tx, d_raw.d_ty
+    )
+    return scaled, a_s
 
 
 def recover_velocity(state: PlannerState, d_eta: ParamDerivative, p_current) -> np.ndarray:

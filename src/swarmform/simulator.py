@@ -1,11 +1,13 @@
 """Closed-loop multi-robot simulation.
 
-Each synchronous tick: rebuild the communication graph from true positions,
-exchange parameter vectors between neighbours, run every robot's local
-potential-field planner and formation planner, then integrate the
-single-integrator dynamics with explicit Euler.  Robot ticks between two
-barriers depend only on barrier-time data, so the loop is equivalent to a
-parallel execution with a per-tick synchronization barrier.
+Each synchronous tick computes the swarm's pairwise squared distances once
+and builds two things from them: the communication graph, over which every
+robot receives its neighbours' parameter vectors, and every robot's
+potential-field velocity, in one array pass.  Then each robot runs its own
+planner tick (`plan_tick`) on barrier-time data only, and the
+single-integrator dynamics are integrated with explicit Euler.  This is the
+same as running each robot's planner in parallel with a per-tick
+synchronization barrier.
 
 Runs are deterministic: all randomness comes from one seed, split into one
 independent stream per robot (numpy SeedSequence spawning), and is used
@@ -19,9 +21,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .apf import ApfGains, Obstacle, desired_velocity
+from .apf import ApfGains, Obstacle, obstacle_arrays, potential_field
 from .constraints import ConstraintSpec, soft_set_distance
-from .network import build_graph, exchange
+from .network import build_graph, exchange, square_distances
 from .planner import NonFiniteInputError, PlannerGains, PlannerState, plan_tick
 from .transform import (
     BaseConfiguration,
@@ -29,6 +31,11 @@ from .transform import (
     apply_transform,
     apply_transform_many,
 )
+
+# Not called by the tick loop, which evaluates the field for the whole swarm
+# with potential_field; kept under this module's name because the traced
+# benchmark (perfbench/tracing.py) rebinds it here and requires it present.
+from .apf import desired_velocity  # noqa: F401
 
 # Tolerance used when counting hard-set violations in the metrics.
 HARD_VIOLATION_TOL = 1e-6
@@ -235,9 +242,8 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
     n_ticks = scenario.n_ticks
     dt = scenario.dt
     slots = scenario.base.slots
-    goal_slots = [apply_transform(scenario.eta_goal, c) for c in slots]
-    obstacles = scenario.obstacles
-    apf = scenario.apf
+    goals = np.array([apply_transform(scenario.eta_goal, c) for c in slots])
+    centers, radii = obstacle_arrays(scenario.obstacles)
 
     positions = initial_positions(scenario)
     states = [
@@ -258,32 +264,30 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
     log_nbrs = np.empty((n_ticks, n), dtype=np.int64)
 
     velocities = np.empty((n, 2))
-    others_idx = [np.flatnonzero(np.arange(n) != i) for i in range(n)]
     for k in range(n_ticks):
-        graph = build_graph(positions, scenario.r_c, scenario.r_d)
-        received = exchange(graph, [st.eta for st in states])
+        d2 = square_distances(positions)
+        graph = build_graph(positions, scenario.r_c, scenario.r_d, d2)
+        etas = [st.eta for st in states]
+        received = exchange(graph, etas)
+        v_des = potential_field(positions, goals, centers, radii, positions, d2, scenario.apf)
         next_etas: list[FormationParams] = [None] * n  # type: ignore[list-item]
         for i in range(n):
-            p_i = positions[i]
-            others = positions[others_idx[i]]
-            v_des = desired_velocity(p_i, goal_slots[i], obstacles, others, apf)
             try:
-                res = plan_tick(states[i], v_des, received[i], p_i, dt)
+                res = plan_tick(states[i], v_des[i], received[i], positions[i], dt)
             except NonFiniteInputError as exc:
                 raise NonFiniteInputError(
                     f"robot {i} at t={times[k]:.6f}s: {exc}"
                 ) from exc
             velocities[i] = res.v_cmd
             next_etas[i] = res.eta_next
-            eta = states[i].eta
-            log_eta[k, i] = (eta.phi, eta.sx, eta.sy, eta.tx, eta.ty)
             log_a_s[k, i] = res.a_s
             log_nbrs[k, i] = len(received[i])
         log_pos[k] = positions
         log_vel[k] = velocities
+        log_eta[k] = [(e.phi, e.sx, e.sy, e.tx, e.ty) for e in etas]
         positions = step_world(positions, velocities, dt)
-        for i in range(n):
-            states[i].eta = next_etas[i]
+        for st, eta_next in zip(states, next_etas):
+            st.eta = eta_next
 
     log = TrajectoryLog(
         times=times,
@@ -325,10 +329,10 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
     )
     hard_violation_count = int(np.count_nonzero(violating.any(axis=1)))
 
-    mean_eta_final = log.etas[-1].mean(axis=0)
-    goal_param_error = float(
-        np.linalg.norm(mean_eta_final - scenario.eta_goal.as_array())
-    )
+    # The rotation is compared modulo a full turn: wrapped to (-pi, pi].
+    delta = log.etas[-1].mean(axis=0) - scenario.eta_goal.as_array()
+    delta[0] = math.pi - (math.pi - delta[0]) % (2.0 * math.pi)
+    goal_param_error = float(np.linalg.norm(delta))
 
     return RunMetrics(
         times=log.times.copy(),
@@ -360,18 +364,25 @@ def _soft_distance_series(etas: np.ndarray, spec: ConstraintSpec) -> np.ndarray:
     return dist.max(axis=1)
 
 
+# Pair entries per block of ticks in _min_pairwise_distance: bounds the
+# temporaries to a few MB whatever the swarm size.
+_PAIR_CHUNK = 200_000
+
+
 def _min_pairwise_distance(positions: np.ndarray) -> float:
     t, n = positions.shape[:2]
     if n < 2:
         return math.inf
+    off_diagonal = ~np.eye(n, dtype=bool)
+    chunk = max(1, _PAIR_CHUNK // (n * n))
     best = math.inf
-    chunk = max(1, int(2e6 // (n * n)))
     for start in range(0, t, chunk):
         block = positions[start : start + chunk]
-        diff = block[:, :, None, :] - block[:, None, :, :]
-        d2 = np.einsum("tijk,tijk->tij", diff, diff)
-        iu = np.triu_indices(n, k=1)
-        best = min(best, float(d2[:, iu[0], iu[1]].min()))
+        d = block[:, :, None, 0] - block[:, None, :, 0]
+        d2 = d * d
+        d = block[:, :, None, 1] - block[:, None, :, 1]
+        d2 += d * d
+        best = min(best, float(np.min(d2, where=off_diagonal, initial=math.inf)))
     return math.sqrt(best)
 
 

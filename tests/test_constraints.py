@@ -10,11 +10,10 @@ from swarmform import (
     FormationParams,
     OutsideHardSetError,
     ParamDerivative,
-    ScaleDerivativeScaling,
-    assemble_A,
     hard_scale_factor,
     project_scaling,
     project_soft,
+    scale_derivative,
     soft_set_distance,
 )
 
@@ -235,27 +234,27 @@ class TestHardScaleFactor:
 
 
 class TestDerivativeScaling:
+    # Unit time step, so the scaled displacement is the rate itself.
     def test_identity_action(self):
+        eta = FormationParams(0.0, 1.0, 1.0, 0.0, 0.0)
         d = ParamDerivative(0.1, 0.4, 0.8, 1.0, 0.0)
-        assert assemble_A(1.0).apply(d) is d
+        out, a_s = scale_derivative(eta, d, SOFT_SPEC, 1.0)
+        assert a_s == 1.0
+        assert out is d
 
     def test_zero_action_zeroes_scaling_only(self):
-        d = ParamDerivative(0.1, 0.4, 0.8, 1.0, -2.0)
-        out = assemble_A(0.0).apply(d)
+        eta = FormationParams(0.0, SOFT_SPEC.eps_hard, 1.0, 0.0, 0.0)  # on the wall
+        d = ParamDerivative(0.1, -0.4, 0.8, 1.0, -2.0)  # heading out through it
+        out, a_s = scale_derivative(eta, d, SOFT_SPEC, 1.0)
+        assert a_s == 0.0
         assert out.as_array() == pytest.approx([0.1, 0.0, 0.0, 1.0, -2.0])
 
     def test_worked_example_action(self):
+        eta = FormationParams(0.0, 1.3, 1.7, 0.0, 0.0)
         d = ParamDerivative(0.1, 0.4, 0.8, 1.0, 0.0)
-        out = assemble_A(0.6915).apply(d)
-        assert out.as_array() == pytest.approx([0.1, 0.2766, 0.5532, 1.0, 0.0], abs=1e-12)
-
-    def test_diagonal_shape(self):
-        assert assemble_A(0.5).diagonal() == pytest.approx([1.0, 0.5, 0.5, 1.0, 1.0])
-
-    def test_invalid_factors_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_A(1.5)
-        with pytest.raises(ValueError):
-            assemble_A(-0.1)
-        with pytest.raises(ValueError):
-            ScaleDerivativeScaling(a_s=0.5, a_phi=0.9)
+        out, a_s = scale_derivative(eta, d, SOFT_SPEC, 1.0)
+        assert a_s == pytest.approx(0.6915, abs=5e-4)
+        assert out.as_array() == pytest.approx(
+            [0.1, a_s * 0.4, a_s * 0.8, 1.0, 0.0], abs=1e-15
+        )
+        assert out.as_array() == pytest.approx([0.1, 0.2766, 0.5532, 1.0, 0.0], abs=1e-4)
