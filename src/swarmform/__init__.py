@@ -22,7 +22,6 @@ from .constraints import (
     OutsideHardSetError,
     hard_scale_factor,
     project_scaling,
-    project_soft,
     soft_set_distance,
 )
 from .fileio import (
@@ -37,7 +36,7 @@ from .fileio import (
     scenario_to_dict,
     write_metrics_summary,
 )
-from .network import CommGraph, build_graph, exchange, square_distances
+from .network import build_graph, exchange, square_distances
 from .planner import (
     NonFiniteInputError,
     PlannerGains,
@@ -45,6 +44,7 @@ from .planner import (
     TickResult,
     consensus_term,
     plan_tick,
+    raw_derivative,
     recover_velocity,
     scale_derivative,
     soft_term,

@@ -71,9 +71,6 @@ class Obstacle:
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise ValueError("obstacle center must be finite")
 
-    def surface_distance(self, p) -> float:
-        return math.hypot(float(p[0]) - self.center[0], float(p[1]) - self.center[1]) - self.radius
-
 
 def obstacle_arrays(obstacles) -> tuple[np.ndarray, np.ndarray]:
     """Centres (O, 2) and radii (O,) of a sequence of obstacles."""

@@ -21,6 +21,7 @@ from .planner import (
     PlannerState,
     consensus_term,
     plan_tick,
+    raw_derivative,
     recover_velocity,
     scale_derivative,
     soft_term,
@@ -103,8 +104,7 @@ def collect_samples(scenario: Scenario, max_samples: int = 256) -> list[_Sample]
     for k in ticks:
         positions = log.positions[k]
         etas = [FormationParams.from_array(log.etas[k, i]) for i in range(n)]
-        graph = build_graph(positions, scenario.r_c, scenario.r_d)
-        received = exchange(graph, etas)
+        received = exchange(build_graph(positions, scenario.r_c), etas)
         for i in range(n):
             if len(samples) >= max_samples:
                 return samples
@@ -118,11 +118,7 @@ def collect_samples(scenario: Scenario, max_samples: int = 256) -> list[_Sample]
             v_des = desired_velocity(
                 positions[i], goal_slots[i], scenario.obstacles, others, scenario.apf
             )
-            d_raw = (
-                tracking_term(state, v_des)
-                + consensus_term(state.eta, received[i], state.gains.lam)
-                + soft_term(state.eta, state.constraints, state.gains.mu)
-            )
+            d_raw = raw_derivative(state, v_des, received[i])
             d_scaled, _ = scale_derivative(state.eta, d_raw, state.constraints, scenario.dt)
             samples.append(
                 _Sample(

@@ -16,10 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .transform import FormationParams
-
 # Relative slack on the squared-norm test of the disk membership check.
 # Keeps the projection exactly idempotent in floating point: every output
 # lands within this band, and points inside the band are returned unchanged.
@@ -75,13 +71,6 @@ class ConstraintSpec:
             and math.hypot(sx, sy) <= self.r_hard + tol
         )
 
-    def in_soft_set(self, sx: float, sy: float, tol: float = 0.0) -> bool:
-        return (
-            sx >= self.eps_soft - tol
-            and sy >= self.eps_soft - tol
-            and math.hypot(sx, sy) <= self.r_soft + tol
-        )
-
 
 def project_scaling(sx: float, sy: float, spec: ConstraintSpec) -> tuple[float, float]:
     """Euclidean projection of a scaling vector onto the soft set.
@@ -106,18 +95,6 @@ def project_scaling(sx: float, sy: float, spec: ConstraintSpec) -> tuple[float, 
     if uy <= eps:
         return (spec.delta_soft, eps)
     return (ux, uy)
-
-
-def project_soft(eta: FormationParams, spec: ConstraintSpec) -> FormationParams:
-    """Project the parameter vector onto the soft set.
-
-    Rotation and translation are unconstrained and pass through unchanged;
-    only the scaling pair moves.
-    """
-    px, py = project_scaling(eta.sx, eta.sy, spec)
-    if px == eta.sx and py == eta.sy:
-        return eta
-    return FormationParams(eta.phi, px, py, eta.tx, eta.ty)
 
 
 def soft_set_distance(sx: float, sy: float, spec: ConstraintSpec) -> float:

@@ -32,7 +32,6 @@ _TOP_KEYS = (
     "apf",
     "constraints",
     "r_c",
-    "r_d",
     "dt",
     "t_final",
     "init_noise_sigma",
@@ -179,7 +178,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         except ValueError as exc:
             raise ValidationError(f"constraints: {exc}") from exc
 
-    for key in ("r_c", "r_d", "dt", "t_final", "init_noise_sigma"):
+    for key in ("r_c", "dt", "t_final", "init_noise_sigma"):
         if key in data:
             kwargs[key] = _number(data[key], key)
     if "rng_seed" in data:
@@ -215,7 +214,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "apf": {k: getattr(scenario.apf, k) for k in _APF_KEYS},
         "constraints": {k: getattr(scenario.constraints, k) for k in _CONSTRAINT_KEYS},
         "r_c": scenario.r_c,
-        "r_d": scenario.r_d,
         "dt": scenario.dt,
         "t_final": scenario.t_final,
         "init_noise_sigma": scenario.init_noise_sigma,

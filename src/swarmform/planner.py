@@ -118,6 +118,18 @@ def soft_term(eta: FormationParams, spec: ConstraintSpec, mu: float) -> ParamDer
     return ParamDerivative(0.0, -mu * (eta.sx - px), -mu * (eta.sy - py), 0.0, 0.0)
 
 
+def raw_derivative(state: PlannerState, v_des, eta_neighbors) -> ParamDerivative:
+    """Sum of the tracking, consensus and soft-constraint parameter rates,
+    before the hard-constraint scaling."""
+    eta = state.eta
+    gains = state.gains
+    return (
+        tracking_term(state, v_des)
+        + consensus_term(eta, eta_neighbors, gains.lam)
+        + soft_term(eta, state.constraints, gains.mu)
+    )
+
+
 def scale_derivative(
     eta: FormationParams, d_raw: ParamDerivative, spec: ConstraintSpec, dt: float
 ) -> tuple[ParamDerivative, float]:
@@ -192,12 +204,7 @@ def plan_tick(
         raise NonFiniteInputError(f"position is not finite: ({px}, {py})")
 
     eta = state.eta
-    gains = state.gains
-    d_raw = (
-        tracking_term(state, (vx, vy))
-        + consensus_term(eta, eta_neighbors, gains.lam)
-        + soft_term(eta, state.constraints, gains.mu)
-    )
+    d_raw = raw_derivative(state, (vx, vy), eta_neighbors)
     d_eta, a_s = scale_derivative(eta, d_raw, state.constraints, dt)
 
     eta_next = FormationParams(

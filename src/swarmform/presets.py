@@ -38,7 +38,6 @@ def reference_scenario(
         ),
         gains=PlannerGains(lam=lam, mu=mu, k_fb=k_fb),
         r_c=10.0,
-        r_d=10.0,
         dt=1e-3,
         t_final=9.0,
         init_noise_sigma=init_noise_sigma,

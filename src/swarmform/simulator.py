@@ -59,7 +59,6 @@ class Scenario:
     apf: ApfGains = ApfGains()
     constraints: ConstraintSpec = ConstraintSpec()
     r_c: float = 10.0
-    r_d: float = 10.0
     dt: float = 1e-3
     t_final: float = 9.0
     init_noise_sigma: float = 0.0
@@ -72,10 +71,10 @@ class Scenario:
             raise ValueError(f"t_final must be >= dt, got {self.t_final}")
         if not self.r_c > 0.0:
             raise ValueError(f"r_c must be > 0, got {self.r_c}")
-        if not 0.0 < self.r_d <= self.r_c:
-            raise ValueError(f"r_d must satisfy 0 < r_d <= r_c, got {self.r_d}")
         if not (math.isfinite(self.init_noise_sigma) and self.init_noise_sigma >= 0.0):
             raise ValueError("init_noise_sigma must be finite and >= 0")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if isinstance(self.gains, tuple) and len(self.gains) != len(self.base):
             raise ValueError(
                 f"per-robot gains need one entry per robot "
@@ -266,9 +265,9 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
     velocities = np.empty((n, 2))
     for k in range(n_ticks):
         d2 = square_distances(positions)
-        graph = build_graph(positions, scenario.r_c, scenario.r_d, d2)
+        neighbors = build_graph(positions, scenario.r_c, d2)
         etas = [st.eta for st in states]
-        received = exchange(graph, etas)
+        received = exchange(neighbors, etas)
         v_des = potential_field(positions, goals, centers, radii, positions, d2, scenario.apf)
         next_etas: list[FormationParams] = [None] * n  # type: ignore[list-item]
         for i in range(n):

@@ -47,14 +47,6 @@ class FormationParams:
                 f"scaling must be strictly positive, got ({self.sx}, {self.sy})"
             )
 
-    @property
-    def s(self) -> tuple[float, float]:
-        return (self.sx, self.sy)
-
-    @property
-    def t(self) -> tuple[float, float]:
-        return (self.tx, self.ty)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.phi, self.sx, self.sy, self.tx, self.ty])
 
@@ -92,14 +84,6 @@ class ParamDerivative:
             self.d_ty + other.d_ty,
         )
 
-    @property
-    def d_s(self) -> tuple[float, float]:
-        return (self.d_sx, self.d_sy)
-
-    @property
-    def d_t(self) -> tuple[float, float]:
-        return (self.d_tx, self.d_ty)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.d_phi, self.d_sx, self.d_sy, self.d_tx, self.d_ty])
 
@@ -107,10 +91,6 @@ class ParamDerivative:
     def from_array(cls, arr) -> "ParamDerivative":
         a, b, c, d, e = (float(x) for x in arr)
         return cls(a, b, c, d, e)
-
-    @classmethod
-    def zero(cls) -> "ParamDerivative":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from swarmform import (
     ParamDerivative,
     hard_scale_factor,
     project_scaling,
-    project_soft,
     scale_derivative,
     soft_set_distance,
 )
@@ -95,16 +94,6 @@ class TestSoftProjection:
     @pytest.mark.parametrize("s_in, s_out", SEVEN_CASES)
     def test_seven_case_examples(self, s_in, s_out):
         assert project_scaling(*s_in, SOFT_SPEC) == pytest.approx(s_out, abs=1e-4)
-
-    def test_rotation_and_translation_pass_through(self):
-        eta = FormationParams(1.234, 0.25, 0.25, -7.0, 3.0)
-        proj = project_soft(eta, SOFT_SPEC)
-        assert (proj.phi, proj.tx, proj.ty) == (1.234, -7.0, 3.0)
-        assert proj.s == pytest.approx((0.5, 0.5), abs=1e-12)
-
-    def test_fixed_point_inside(self):
-        eta = FormationParams(0.1, 1.25, 1.25, 0.0, 0.0)
-        assert project_soft(eta, SOFT_SPEC) is eta
 
     def test_idempotent_on_random_inputs(self):
         rng = np.random.default_rng(99)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from swarmform import (
     run,
     scenario_from_dict,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = """
 base:
@@ -98,6 +101,8 @@ class TestParseScenario:
         }
         with pytest.raises(ValidationError, match="eps_hard"):
             scenario_from_dict(data)
+        with pytest.raises(ValidationError, match="rng_seed"):
+            scenario_from_dict({"base": [[0.0, 0.0]], "eta_goal": {}, "rng_seed": -1})
 
     def test_per_robot_gains_list(self):
         data = {
@@ -115,6 +120,16 @@ class TestParseScenario:
         path = tmp_path / "ref.yaml"
         emit_scenario(sc, path)
         assert parse_scenario(path) == sc
+
+    @pytest.mark.parametrize(
+        "path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.name
+    )
+    def test_bundled_scenario_round_trip(self, path, tmp_path):
+        sc = parse_scenario(path)
+        out = tmp_path / path.name
+        emit_scenario(sc, out)
+        assert out.read_text() == path.read_text()
+        assert parse_scenario(out) == sc
 
     def test_round_trip_per_robot_gains(self, tmp_path):
         per_robot = tuple(

@@ -1,8 +1,8 @@
-import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmform import FormationParams, build_graph, exchange, unit_grid
@@ -10,37 +10,31 @@ from swarmform import FormationParams, build_graph, exchange, unit_grid
 
 class TestBuildGraph:
     def test_boundary_distance_is_inclusive(self):
-        g = build_graph([(0.0, 0.0), (1.5, 0.0)], r_c=1.5, r_d=1.0)
-        assert g.edges == {(0, 1)}
+        assert build_graph([(0.0, 0.0), (1.5, 0.0)], r_c=1.5) == ((1,), (0,))
 
     def test_single_robot_has_no_edges(self):
-        g = build_graph([(2.0, 3.0)], r_c=5.0, r_d=5.0)
-        assert g.edges == frozenset()
-        assert g.neighbors == ((),)
+        assert build_graph([(2.0, 3.0)], r_c=5.0) == ((),)
 
     def test_unit_grid_degrees(self):
         grid = unit_grid(3)
         pts = grid.as_array()
-        g = build_graph(pts, r_c=1.5, r_d=1.0)
+        nbrs = build_graph(pts, r_c=1.5)
         # Independent check: brute-force pairwise distances.
-        expected = set()
-        for i, j in itertools.combinations(range(9), 2):
-            if np.linalg.norm(pts[i] - pts[j]) <= 1.5:
-                expected.add((i, j))
-        assert g.edges == expected
-        degrees = sorted(g.degree(i) for i in range(9))
+        expected = tuple(
+            tuple(j for j in range(9) if j != i and np.linalg.norm(pts[i] - pts[j]) <= 1.5)
+            for i in range(9)
+        )
+        assert nbrs == expected
+        degrees = sorted(len(n) for n in nbrs)
         # 4 corners with 3 neighbours, 4 edge-midpoints with 5, centre with 8
         assert degrees == [3, 3, 3, 3, 5, 5, 5, 5, 8]
         centre = grid.slots.index((0.0, 0.0))
-        assert g.degree(centre) == 8
+        assert len(nbrs[centre]) == 8
 
     def test_invalid_ranges_rejected(self):
-        with pytest.raises(ValueError):
-            build_graph([(0.0, 0.0)], r_c=0.0, r_d=0.0)
-        with pytest.raises(ValueError):
-            build_graph([(0.0, 0.0)], r_c=1.0, r_d=2.0)
-        with pytest.raises(ValueError):
-            build_graph([(0.0, 0.0)], r_c=1.0, r_d=0.0)
+        for r_c in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                build_graph([(0.0, 0.0)], r_c=r_c)
 
     @given(
         pts=st.lists(
@@ -50,17 +44,20 @@ class TestBuildGraph:
         ),
         r_c=st.floats(0.5, 15.0),
     )
+    @example(pts=[(0.0, 0.0), (1.0, 0.0), (0.0, 9.0)], r_c=math.inf)
+    @example(pts=[(0.0, 0.0), (1.0, 0.0), (0.0, 9.0)], r_c=1e200)  # r_c * r_c is +inf
     @settings(max_examples=200, deadline=None)
     def test_symmetry_and_reconstruction(self, pts, r_c):
-        g = build_graph(pts, r_c=r_c, r_d=r_c)
-        for i, j in g.edges:
-            assert i != j
-            assert j in g.neighbors[i] and i in g.neighbors[j]
+        nbrs = build_graph(pts, r_c=r_c)
+        assert len(nbrs) == len(pts)
         arr = np.asarray(pts)
         for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                expected = np.linalg.norm(arr[i] - arr[j]) <= r_c
-                assert ((i, j) in g.edges) == expected
+            assert i not in nbrs[i]
+            assert list(nbrs[i]) == sorted(nbrs[i])
+            for j in range(len(pts)):
+                if j != i:
+                    expected = np.linalg.norm(arr[i] - arr[j]) <= r_c
+                    assert (j in nbrs[i]) == expected
 
 
 class TestExchange:
@@ -68,30 +65,30 @@ class TestExchange:
         return [FormationParams(0.0, 1.0, 1.0, float(i), 0.0) for i in range(n)]
 
     def test_empty_graph_delivers_nothing(self):
-        g = build_graph([(0.0, 0.0), (100.0, 0.0)], r_c=1.0, r_d=1.0)
-        assert exchange(g, self._etas(2)) == [[], []]
+        nbrs = build_graph([(0.0, 0.0), (100.0, 0.0)], r_c=1.0)
+        assert exchange(nbrs, self._etas(2)) == [[], []]
 
     def test_complete_triangle_delivers_both_others(self):
-        g = build_graph([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], r_c=5.0, r_d=5.0)
+        nbrs = build_graph([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], r_c=5.0)
         etas = self._etas(3)
-        received = exchange(g, etas)
+        received = exchange(nbrs, etas)
         assert received[0] == [etas[1], etas[2]]
         assert received[1] == [etas[0], etas[2]]
         assert received[2] == [etas[0], etas[1]]
 
     def test_neighbor_counts_match_degrees(self):
         pts = unit_grid(3).as_array()
-        g = build_graph(pts, r_c=1.5, r_d=1.5)
-        received = exchange(g, self._etas(9))
-        assert [len(r) for r in received] == [g.degree(i) for i in range(9)]
+        nbrs = build_graph(pts, r_c=1.5)
+        received = exchange(nbrs, self._etas(9))
+        assert [len(r) for r in received] == [len(n) for n in nbrs]
 
     def test_order_is_stable_by_robot_id(self):
-        g = build_graph([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], r_c=2.5, r_d=2.5)
+        nbrs = build_graph([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], r_c=2.5)
         etas = self._etas(3)
-        received = exchange(g, etas)
+        received = exchange(nbrs, etas)
         assert received[2] == [etas[0], etas[1]]
 
     def test_wrong_count_rejected(self):
-        g = build_graph([(0.0, 0.0), (1.0, 0.0)], r_c=2.0, r_d=2.0)
+        nbrs = build_graph([(0.0, 0.0), (1.0, 0.0)], r_c=2.0)
         with pytest.raises(ValueError):
-            exchange(g, self._etas(3))
+            exchange(nbrs, self._etas(3))

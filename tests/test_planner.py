@@ -220,13 +220,13 @@ class TestConsensusDynamics:
         # Information hiding end to end: a robot out of range receives an
         # empty list and its consensus pull is exactly zero.
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [50.0, 0.0]])
-        graph = build_graph(positions, r_c=2.0, r_d=2.0)
+        nbrs = build_graph(positions, r_c=2.0)
         etas = [
             FormationParams(0.0, 1.0, 1.0, 0.0, 0.0),
             FormationParams(0.0, 1.0, 1.0, 5.0, 0.0),
             FormationParams(0.0, 1.0, 1.0, -5.0, 0.0),
         ]
-        received = exchange(graph, etas)
+        received = exchange(nbrs, etas)
         assert received[2] == []
         state = make_state(eta=etas[2], slot=(0.0, 0.0), lam=10.0)
         res = plan_tick(state, (0.0, 0.0), received[2], (50.0, 0.0), 1e-3)

@@ -50,7 +50,7 @@ class TestScenario:
         with pytest.raises(ValueError):
             tiny_scenario(dt=1.0, t_final=0.5)
         with pytest.raises(ValueError):
-            tiny_scenario(r_d=20.0)  # exceeds default r_c
+            tiny_scenario(rng_seed=-1)
         with pytest.raises(ValueError):
             tiny_scenario(init_noise_sigma=-1.0)
 
@@ -116,6 +116,11 @@ class TestRun:
         assert log.positions.shape == (50, 4, 2)
         assert np.allclose(np.diff(log.times), sc.dt)
         assert np.all(log.neighbor_counts == 3)  # complete graph at this scale
+
+    @pytest.mark.parametrize("r_c", [math.inf, 1e200])  # r_c * r_c is +inf
+    def test_unbounded_range_never_counts_the_robot_itself(self, r_c):
+        log, _ = run(tiny_scenario(r_c=r_c, t_final=0.005))
+        assert np.all(log.neighbor_counts == 3)
 
     def test_formation_error_decreases_with_feedback(self):
         sc = tiny_scenario(init_noise_sigma=0.4, t_final=1.0)

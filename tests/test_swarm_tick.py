@@ -42,7 +42,7 @@ def per_robot_tick(scenario: Scenario, positions, eta):
     n = len(positions)
     goals = [apply_transform(scenario.eta_goal, c) for c in scenario.base.slots]
     etas = [FormationParams.from_array(row) for row in eta]
-    received = exchange(build_graph(positions, scenario.r_c, scenario.r_d), etas)
+    received = exchange(build_graph(positions, scenario.r_c), etas)
     v_cmd = np.empty((n, 2))
     eta_next = np.empty((n, 5))
     a_s = np.empty(n)
@@ -125,8 +125,8 @@ class TestSharedDistances:
     @settings(max_examples=100, deadline=None)
     def test_graph_from_given_distances_is_the_same_graph(self, pts, r_c):
         pts = np.array(pts)
-        given_d2 = build_graph(pts, r_c, r_c, square_distances(pts))
-        assert given_d2 == build_graph(pts, r_c, r_c)
+        given_d2 = build_graph(pts, r_c, square_distances(pts))
+        assert given_d2 == build_graph(pts, r_c)
 
     @given(pts=points, goal=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
     @settings(max_examples=100, deadline=None)

@@ -172,11 +172,6 @@ class TestTypes:
         d = ParamDerivative(0.1, -0.2, 0.3, -0.4, 0.5)
         assert ParamDerivative.from_array(d.as_array()) == d
 
-    def test_component_views(self):
-        eta = FormationParams(0.3, 1.2, 0.8, -4.0, 2.0)
-        assert eta.s == (1.2, 0.8)
-        assert eta.t == (-4.0, 2.0)
-
     def test_derivative_addition(self):
         a = ParamDerivative(1.0, 2.0, 3.0, 4.0, 5.0)
         b = ParamDerivative(0.5, 0.5, 0.5, 0.5, 0.5)
