@@ -19,6 +19,7 @@ from .apf import desired_velocity
 from .network import build_graph, exchange
 from .planner import (
     PlannerState,
+    Rate,
     consensus_term,
     plan_tick,
     raw_derivative,
@@ -28,7 +29,7 @@ from .planner import (
     tracking_term,
 )
 from .simulator import Scenario, run
-from .transform import FormationParams, ParamDerivative, apply_transform
+from .transform import FormationParams, apply_transform
 
 STEP_NAMES = (
     "tracking",
@@ -82,8 +83,8 @@ class _Sample:
     neighbors: list
     p: np.ndarray
     dt: float
-    d_raw: ParamDerivative
-    d_scaled: ParamDerivative
+    d_raw: Rate
+    d_scaled: Rate
 
 
 def collect_samples(scenario: Scenario, max_samples: int = 256) -> list[_Sample]:

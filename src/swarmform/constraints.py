@@ -23,8 +23,9 @@ from dataclasses import dataclass
 # metrics and tests allow.
 _DISK_BAND = 4e-13
 
-# Penalised crossings closer than this count as "already on the boundary".
-_MEMBERSHIP_TOL = 1e-9
+# Slack of the hard-set membership that hard_scale_factor requires: points
+# closer than this to the set count as on its boundary.
+MEMBERSHIP_TOL = 1e-9
 
 
 class OutsideHardSetError(ValueError):
@@ -122,7 +123,7 @@ def hard_scale_factor(s, ds, spec: ConstraintSpec) -> float:
     eps = spec.eps_hard
     r = spec.r_hard
 
-    if not spec.in_hard_set(sx, sy, tol=_MEMBERSHIP_TOL):
+    if not spec.in_hard_set(sx, sy, tol=MEMBERSHIP_TOL):
         raise OutsideHardSetError(
             f"s=({sx}, {sy}) outside hard set "
             f"(eps_hard={eps}, r_hard={r})"

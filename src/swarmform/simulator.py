@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .apf import ApfGains, Obstacle, obstacle_arrays, potential_field
-from .constraints import ConstraintSpec, soft_set_distance
+from .constraints import MEMBERSHIP_TOL, ConstraintSpec, soft_set_distance
 from .network import build_graph, exchange, square_distances
 from .planner import NonFiniteInputError, PlannerGains, PlannerState, plan_tick
 from .transform import (
@@ -48,7 +48,8 @@ class Scenario:
     `gains` is either one PlannerGains shared by all robots or a tuple with
     one entry per robot.  `init_noise_sigma` is the standard deviation (in
     meters, per axis) of the Gaussian perturbation applied to the initial
-    positions; zero disables it.
+    positions; zero disables it.  The initial scaling must lie in the hard
+    set, which the planner keeps it in; the goal may lie outside it.
     """
 
     base: BaseConfiguration
@@ -75,6 +76,9 @@ class Scenario:
             raise ValueError("init_noise_sigma must be finite and >= 0")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        s, spec = self.eta_init, self.constraints
+        if not spec.in_hard_set(s.sx, s.sy, tol=MEMBERSHIP_TOL):
+            raise ValueError(f"eta_init scaling ({s.sx}, {s.sy}) lies outside the hard set of {spec}")
         if isinstance(self.gains, tuple) and len(self.gains) != len(self.base):
             raise ValueError(
                 f"per-robot gains need one entry per robot "
@@ -262,31 +266,27 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
     log_a_s = np.empty((n_ticks, n))
     log_nbrs = np.empty((n_ticks, n), dtype=np.int64)
 
-    velocities = np.empty((n, 2))
     for k in range(n_ticks):
         d2 = square_distances(positions)
         neighbors = build_graph(positions, scenario.r_c, d2)
         etas = [st.eta for st in states]
         received = exchange(neighbors, etas)
         v_des = potential_field(positions, goals, centers, radii, positions, d2, scenario.apf)
-        next_etas: list[FormationParams] = [None] * n  # type: ignore[list-item]
-        for i in range(n):
+        results = []
+        rows = zip(states, v_des.tolist(), received, positions.tolist())
+        for i, (st, v, nbrs, p) in enumerate(rows):
             try:
-                res = plan_tick(states[i], v_des[i], received[i], positions[i], dt)
+                results.append(plan_tick(st, v, nbrs, p, dt))
             except NonFiniteInputError as exc:
-                raise NonFiniteInputError(
-                    f"robot {i} at t={times[k]:.6f}s: {exc}"
-                ) from exc
-            velocities[i] = res.v_cmd
-            next_etas[i] = res.eta_next
-            log_a_s[k, i] = res.a_s
-            log_nbrs[k, i] = len(received[i])
+                raise NonFiniteInputError(f"robot {i} at t={times[k]:.6f}s: {exc}") from exc
+        for st, res in zip(states, results):
+            st.eta = res.eta_next
+        log_a_s[k] = [res.a_s for res in results]
+        log_nbrs[k] = [len(nbrs) for nbrs in received]
         log_pos[k] = positions
-        log_vel[k] = velocities
+        log_vel[k] = [res.v_cmd for res in results]
         log_eta[k] = [(e.phi, e.sx, e.sy, e.tx, e.ty) for e in etas]
-        positions = step_world(positions, velocities, dt)
-        for st, eta_next in zip(states, next_etas):
-            st.eta = eta_next
+        positions = step_world(positions, log_vel[k], dt)
 
     log = TrajectoryLog(
         times=times,
@@ -300,33 +300,44 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
 
 
 def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
-    """Derive the run metrics from a trajectory log. Deterministic."""
+    """Derive the run metrics from a trajectory log, in blocks of ticks so that
+    its temporaries stay small.  Deterministic, whatever the block size."""
     if log.n_ticks == 0:
         raise ValueError("cannot compute metrics from an empty log")
     spec = scenario.constraints
-    slots = scenario.base.as_array()
+    slots = scenario.base.as_array()[None, :, :]
+    centers, radii = obstacle_arrays(scenario.obstacles)
+    tol = HARD_VIOLATION_TOL
 
-    slot_pos = apply_transform_many(log.etas, slots[None, :, :])
-    err = np.linalg.norm(log.positions - slot_pos, axis=-1)
-    formation_error = err.max(axis=1)
+    formation_error = np.empty(log.n_ticks)
+    disagreement = np.empty(log.n_ticks)
+    soft_dist = np.empty(log.n_ticks)
+    hard_violation_count = 0
+    min_obstacle_clearance = math.inf
+    chunk = max(1, _ENTRY_CHUNK // log.n_robots)
+    for start in range(0, log.n_ticks, chunk):
+        block = slice(start, start + chunk)
+        etas = log.etas[block]
+        positions = log.positions[block]
+        slot_pos = apply_transform_many(etas, slots)
+        err = np.linalg.norm(positions - slot_pos, axis=-1)
+        formation_error[block] = err.max(axis=1)
+        spread = etas.max(axis=1) - etas.min(axis=1)
+        disagreement[block] = spread.max(axis=1)
+        soft_dist[block] = _soft_distance_series(etas, spec)
 
-    spread = log.etas.max(axis=1) - log.etas.min(axis=1)
-    disagreement = spread.max(axis=1)
-
-    soft_dist = _soft_distance_series(log.etas, spec)
+        sx = etas[:, :, 1]
+        sy = etas[:, :, 2]
+        violating = (
+            (sx < spec.eps_hard - tol)
+            | (sy < spec.eps_hard - tol)
+            | (np.hypot(sx, sy) > spec.r_hard + tol)
+        )
+        hard_violation_count += int(np.count_nonzero(violating.any(axis=1)))
+        clearance = _min_obstacle_clearance(positions, centers, radii)
+        min_obstacle_clearance = min(min_obstacle_clearance, clearance)
 
     min_robot_distance = _min_pairwise_distance(log.positions)
-    min_obstacle_clearance = _min_obstacle_clearance(log.positions, scenario.obstacles)
-
-    sx = log.etas[:, :, 1]
-    sy = log.etas[:, :, 2]
-    tol = HARD_VIOLATION_TOL
-    violating = (
-        (sx < spec.eps_hard - tol)
-        | (sy < spec.eps_hard - tol)
-        | (np.hypot(sx, sy) > spec.r_hard + tol)
-    )
-    hard_violation_count = int(np.count_nonzero(violating.any(axis=1)))
 
     # The rotation is compared modulo a full turn: wrapped to (-pi, pi].
     delta = log.etas[-1].mean(axis=0) - scenario.eta_goal.as_array()
@@ -363,8 +374,9 @@ def _soft_distance_series(etas: np.ndarray, spec: ConstraintSpec) -> np.ndarray:
     return dist.max(axis=1)
 
 
-# Pair entries per block of ticks in _min_pairwise_distance: bounds the
-# temporaries to a few MB whatever the swarm size.
+# Entries per block of ticks, which bound the metrics' temporaries: (tick, robot)
+# in compute_metrics, (tick, robot, robot) pairs in _min_pairwise_distance.
+_ENTRY_CHUNK = 10_000
 _PAIR_CHUNK = 200_000
 
 
@@ -385,11 +397,9 @@ def _min_pairwise_distance(positions: np.ndarray) -> float:
     return math.sqrt(best)
 
 
-def _min_obstacle_clearance(positions: np.ndarray, obstacles) -> float:
-    if not obstacles:
+def _min_obstacle_clearance(positions: np.ndarray, centers, radii) -> float:
+    if not len(radii):
         return math.inf
-    centers = np.array([o.center for o in obstacles])
-    radii = np.array([o.radius for o in obstacles])
     diff = positions[:, :, None, :] - centers[None, None, :, :]
     dist = np.linalg.norm(diff, axis=-1) - radii[None, None, :]
     return float(dist.min())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -39,9 +40,10 @@ class FormationParams:
     ty: float
 
     def __post_init__(self):
-        for name in PARAM_NAMES:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"formation parameter {name} must be finite")
+        if not (isfinite(self.phi) and isfinite(self.sx) and isfinite(self.sy)
+                and isfinite(self.tx) and isfinite(self.ty)):
+            name = next(n for n in PARAM_NAMES if not isfinite(getattr(self, n)))
+            raise ValueError(f"formation parameter {name} must be finite")
         if self.sx <= 0.0 or self.sy <= 0.0:
             raise ValueError(
                 f"scaling must be strictly positive, got ({self.sx}, {self.sy})"
@@ -62,7 +64,12 @@ class FormationParams:
 
 @dataclass(frozen=True, slots=True)
 class ParamDerivative:
-    """Time derivative of a parameter vector, same (phi, s, t) ordering."""
+    """Time derivative of a parameter vector, same (phi, s, t) ordering.
+
+    The planner stages pass rates as plain float 5-tuples instead, so a tick
+    builds no per-stage objects; this stays as the checked, named form of a
+    rate for code outside the tick: `ParamDerivative(*rate)`.
+    """
 
     d_phi: float
     d_sx: float
@@ -71,9 +78,9 @@ class ParamDerivative:
     d_ty: float
 
     def __post_init__(self):
-        for v in (self.d_phi, self.d_sx, self.d_sy, self.d_tx, self.d_ty):
-            if not math.isfinite(v):
-                raise ValueError("parameter derivative components must be finite")
+        if not (isfinite(self.d_phi) and isfinite(self.d_sx) and isfinite(self.d_sy)
+                and isfinite(self.d_tx) and isfinite(self.d_ty)):
+            raise ValueError("parameter derivative components must be finite")
 
     def __add__(self, other: "ParamDerivative") -> "ParamDerivative":
         return ParamDerivative(
@@ -172,12 +179,11 @@ def jacobian(eta: FormationParams, c) -> np.ndarray:
     sphi = math.sin(eta.phi)
     sxcx = eta.sx * cx
     sycy = eta.sy * cy
-    return np.array(
-        [
-            [-sphi * sxcx - cphi * sycy, cphi * cx, -sphi * cy, 1.0, 0.0],
-            [cphi * sxcx - sphi * sycy, sphi * cx, cphi * cy, 0.0, 1.0],
-        ]
-    )
+    # A flat tuple, reshaped, builds the array faster than nested lists do.
+    return np.array((
+        -sphi * sxcx - cphi * sycy, cphi * cx, -sphi * cy, 1.0, 0.0,
+        cphi * sxcx - sphi * sycy, sphi * cx, cphi * cy, 0.0, 1.0,
+    )).reshape(2, 5)
 
 
 def pseudo_inverse(J: np.ndarray) -> np.ndarray:
@@ -191,17 +197,22 @@ def pseudo_inverse(J: np.ndarray) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     if J.shape != (2, 5):
         raise ValueError(f"expected a 2x5 Jacobian, got shape {J.shape}")
-    r0, r1 = J.tolist()
-    m00 = sum(v * v for v in r0)
-    m01 = sum(a * b for a, b in zip(r0, r1))
-    m11 = sum(v * v for v in r1)
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = J.tolist()
+    # Summed left to right, as sum() over the rows would.
+    m00 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4
+    m01 = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
+    m11 = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4
     det = m00 * m11 - m01 * m01
-    if not math.isfinite(det) or abs(det) <= 1e-12:
+    if not isfinite(det) or abs(det) <= 1e-12:
         raise SingularMatrixError(f"J @ J.T is singular (det={det})")
     i00 = m11 / det
     i01 = -m01 / det
     i11 = m00 / det
     # J.T @ [[i00, i01], [i01, i11]]
-    return np.array(
-        [[a * i00 + b * i01, a * i01 + b * i11] for a, b in zip(r0, r1)]
-    )
+    return np.array((
+        a0 * i00 + b0 * i01, a0 * i01 + b0 * i11,
+        a1 * i00 + b1 * i01, a1 * i01 + b1 * i11,
+        a2 * i00 + b2 * i01, a2 * i01 + b2 * i11,
+        a3 * i00 + b3 * i01, a3 * i01 + b3 * i11,
+        a4 * i00 + b4 * i01, a4 * i01 + b4 * i11,
+    )).reshape(5, 2)

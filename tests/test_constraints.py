@@ -9,7 +9,6 @@ from swarmform import (
     ConstraintSpec,
     FormationParams,
     OutsideHardSetError,
-    ParamDerivative,
     hard_scale_factor,
     project_scaling,
     scale_derivative,
@@ -226,24 +225,24 @@ class TestDerivativeScaling:
     # Unit time step, so the scaled displacement is the rate itself.
     def test_identity_action(self):
         eta = FormationParams(0.0, 1.0, 1.0, 0.0, 0.0)
-        d = ParamDerivative(0.1, 0.4, 0.8, 1.0, 0.0)
+        d = (0.1, 0.4, 0.8, 1.0, 0.0)
         out, a_s = scale_derivative(eta, d, SOFT_SPEC, 1.0)
         assert a_s == 1.0
         assert out is d
 
     def test_zero_action_zeroes_scaling_only(self):
         eta = FormationParams(0.0, SOFT_SPEC.eps_hard, 1.0, 0.0, 0.0)  # on the wall
-        d = ParamDerivative(0.1, -0.4, 0.8, 1.0, -2.0)  # heading out through it
+        d = (0.1, -0.4, 0.8, 1.0, -2.0)  # heading out through it
         out, a_s = scale_derivative(eta, d, SOFT_SPEC, 1.0)
         assert a_s == 0.0
-        assert out.as_array() == pytest.approx([0.1, 0.0, 0.0, 1.0, -2.0])
+        assert np.array(out) == pytest.approx([0.1, 0.0, 0.0, 1.0, -2.0])
 
     def test_worked_example_action(self):
         eta = FormationParams(0.0, 1.3, 1.7, 0.0, 0.0)
-        d = ParamDerivative(0.1, 0.4, 0.8, 1.0, 0.0)
+        d = (0.1, 0.4, 0.8, 1.0, 0.0)
         out, a_s = scale_derivative(eta, d, SOFT_SPEC, 1.0)
         assert a_s == pytest.approx(0.6915, abs=5e-4)
-        assert out.as_array() == pytest.approx(
+        assert np.array(out) == pytest.approx(
             [0.1, a_s * 0.4, a_s * 0.8, 1.0, 0.0], abs=1e-15
         )
-        assert out.as_array() == pytest.approx([0.1, 0.2766, 0.5532, 1.0, 0.0], abs=1e-4)
+        assert np.array(out) == pytest.approx([0.1, 0.2766, 0.5532, 1.0, 0.0], abs=1e-4)

@@ -58,6 +58,13 @@ class TestParseScenario:
         with pytest.raises(ValidationError, match="strictly positive"):
             parse_scenario(path)
 
+    @pytest.mark.parametrize("eta_init", ["{sx: 0.2}", "{sx: 3.0}"])
+    def test_initial_scaling_outside_hard_set_fails_at_load(self, tmp_path, eta_init):
+        path = tmp_path / "s.yaml"
+        path.write_text(MINIMAL + f"eta_init: {eta_init}\n")
+        with pytest.raises(ValidationError, match="eta_init"):
+            parse_scenario(path)
+
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = tmp_path / "s.yaml"
         path.write_text(MINIMAL + "cruising_speed: 3.0\n")

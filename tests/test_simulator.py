@@ -54,6 +54,18 @@ class TestScenario:
         with pytest.raises(ValueError):
             tiny_scenario(init_noise_sigma=-1.0)
 
+    def test_initial_scaling_must_lie_in_hard_set(self):
+        # It used to load and then fail inside run at tick 0.
+        for sx, sy in ((3.0, 1.0), (0.2, 1.0), (1.0, 0.5), (2.0, 2.0)):
+            with pytest.raises(ValueError, match="eta_init"):
+                tiny_scenario(eta_init=FormationParams(0.0, sx, sy, 0.0, 0.0))
+        # Within the tolerance hard_scale_factor allows, it loads and runs.
+        eps = ConstraintSpec().eps_hard
+        sc = tiny_scenario(eta_init=FormationParams(0.0, eps - 1e-10, 1.0, 0.0, 0.0))
+        run(replace(sc, t_final=sc.dt))
+        # The goal may lie outside the hard set.
+        tiny_scenario(eta_goal=FormationParams(0.0, 3.0, 3.0, 0.0, 0.0))
+
     def test_per_robot_gains_length_checked(self):
         with pytest.raises(ValueError):
             tiny_scenario(gains=(PlannerGains(1, 1, 1),) * 3)
@@ -261,6 +273,35 @@ class TestComputeMetrics:
                     best = min(best, dx * dx + dy * dy)
         got = swarmform.simulator._min_pairwise_distance(positions)
         assert got == math.sqrt(best)
+
+    @pytest.mark.parametrize("entries", [1, 7 * 5])
+    def test_blocks_of_ticks_change_no_field(self, monkeypatch, entries):
+        # 53 ticks of 7 robots in one block, against one tick per block or
+        # ten blocks of 5 ticks and a partial one; scalings inside and
+        # outside both constraint sets.
+        rng = np.random.default_rng(11)
+        t, n = 53, 7
+        etas = rng.uniform(-1.0, 1.0, (t, n, 5))
+        etas[:, :, 1:3] = rng.uniform(0.3, 2.2, (t, n, 2))
+        log = self._log_for(etas, rng.uniform(-5.0, 5.0, (t, n, 2)))
+        sc = Scenario(
+            base=BaseConfiguration(tuple(map(tuple, rng.uniform(-1.0, 1.0, (n, 2))))),
+            eta_goal=FormationParams(0.1, 1.2, 1.2, 1.0, 0.0),
+            obstacles=(
+                Obstacle(center=(1.0, 1.0), radius=0.5),
+                Obstacle(center=(-2.0, 0.0), radius=1.0),
+            ),
+        )
+        monkeypatch.setattr(swarmform.simulator, "_ENTRY_CHUNK", t * n)
+        whole = compute_metrics(log, sc)
+        monkeypatch.setattr(swarmform.simulator, "_ENTRY_CHUNK", entries)
+        blocked = compute_metrics(log, sc)
+        assert whole.hard_violation_count > 0
+        assert whole.soft_set_distance.max() > 0.0
+        for name in ("times", "formation_error", "disagreement", "soft_set_distance",
+                     "min_robot_distance", "min_obstacle_clearance",
+                     "hard_violation_count", "goal_param_error"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
 
     def test_empty_log_rejected(self):
         sc = Scenario(
