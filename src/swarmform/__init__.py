@@ -52,6 +52,7 @@ from .planner import (
 )
 from .presets import NOISE_SIGMA, reference_scenario
 from .simulator import (
+    ConsensusStabilityWarning,
     RunMetrics,
     Scenario,
     TrajectoryLog,

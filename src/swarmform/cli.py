@@ -10,6 +10,8 @@ from pathlib import Path
 
 from .bench import bench
 from .fileio import (
+    ParseError,
+    ValidationError,
     emit_scenario,
     export_csv,
     format_metrics_summary,
@@ -21,22 +23,20 @@ from .sweep import format_sweep_table, sweep
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if args.seed is not None:
-        scenario = replace(scenario, rng_seed=args.seed)
-    if args.dt is not None:
-        scenario = replace(scenario, dt=args.dt)
-    if args.t_final is not None:
-        scenario = replace(scenario, t_final=args.t_final)
-    gain_overrides = {}
-    if getattr(args, "lam", None) is not None:
-        gain_overrides["lam"] = args.lam
-    if getattr(args, "mu", None) is not None:
-        gain_overrides["mu"] = args.mu
-    if getattr(args, "k", None) is not None:
-        gain_overrides["k_fb"] = args.k
-    if gain_overrides:
-        scenario = scenario.with_gains(**gain_overrides)
-    return scenario
+    """The scenario with the command-line overrides applied, all at once.
+
+    Raises :class:`ValidationError` when the result breaks an invariant.
+    """
+    fields = {"rng_seed": args.seed, "dt": args.dt, "t_final": args.t_final}
+    gains = {"lam": getattr(args, "lam", None), "mu": getattr(args, "mu", None),
+             "k_fb": getattr(args, "k", None)}
+    fields = {k: v for k, v in fields.items() if v is not None}
+    gains = {k: v for k, v in gains.items() if v is not None}
+    try:
+        scenario = replace(scenario, **fields)
+        return scenario.with_gains(**gains) if gains else scenario
+    except ValueError as exc:
+        raise ValidationError(f"rejected override: {exc}") from exc
 
 
 def _add_common_overrides(parser: argparse.ArgumentParser) -> None:
@@ -146,8 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  A bad scenario file, a rejected override or an
+    unreadable file is reported on one stderr line with exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, ValidationError, OSError) as exc:
+        print(f"swarmform: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ toward the soft scaling set, scale the rate so the Euler step cannot leave
 the hard scaling set, then map the rate back to a velocity with a feedback
 term that returns the robot to its slot after perturbations.
 
-The stages pass each parameter rate as a plain float 5-tuple
-(d_phi, d_sx, d_sy, d_tx, d_ty).  A tick builds one value object, the next
+The stages pass rates as float 5-tuples (d_phi, d_sx, d_sy, d_tx, d_ty); the
+one array a tick builds is v_cmd, and its one value object the next
 FormationParams, whose finiteness check also covers every rate component.
 
 plan_tick is a pure function of the robot's own state, its desired velocity,
@@ -73,8 +73,8 @@ class PlannerState:
 class TickResult:
     """Output of one planner tick.
 
-    `a_s` is the hard-constraint derivative scale actually applied, kept for
-    trajectory logging.
+    `v_cmd` is a numpy 2-vector; `a_s` the hard-constraint derivative scale
+    actually applied, kept for trajectory logging.
     """
 
     v_cmd: np.ndarray
@@ -84,7 +84,7 @@ class TickResult:
 
 def tracking_term(state: PlannerState, v_des) -> Rate:
     """Parameter rate that tracks the desired velocity through the pseudo-inverse."""
-    r0, r1, r2, r3, r4 = pseudo_inverse(jacobian(state.eta, state.slot)).tolist()
+    r0, r1, r2, r3, r4 = pseudo_inverse(jacobian(state.eta, state.slot))
     vx, vy = float(v_des[0]), float(v_des[1])
     return (
         r0[0] * vx + r0[1] * vy,
@@ -149,20 +149,20 @@ def scale_derivative(
     return (d_phi, a_s * d_sx, a_s * d_sy, d_tx, d_ty), a_s
 
 
-def recover_velocity(state: PlannerState, d_eta: Rate, p_current) -> np.ndarray:
+def recover_velocity(state: PlannerState, d_eta: Rate, p_current) -> tuple[float, float]:
     """Map a parameter rate back to a velocity command.
 
     J @ d_eta moves the robot with its slot; the feedback term
     -k_fb * (p - slot position) rejects perturbations that broke formation.
     """
-    r0, r1 = jacobian(state.eta, state.slot).tolist()
-    slot_x, slot_y = apply_transform(state.eta, state.slot).tolist()
+    r0, r1 = jacobian(state.eta, state.slot)
+    slot_x, slot_y = apply_transform(state.eta, state.slot)
     k = state.gains.k_fb
     px, py = float(p_current[0]), float(p_current[1])
     d_phi, d_sx, d_sy, d_tx, d_ty = d_eta
     vx = r0[0] * d_phi + r0[1] * d_sx + r0[2] * d_sy + d_tx - k * (px - slot_x)
     vy = r1[0] * d_phi + r1[1] * d_sx + r1[2] * d_sy + d_ty - k * (py - slot_y)
-    return np.array([vx, vy])
+    return (vx, vy)
 
 
 def plan_tick(
@@ -203,5 +203,5 @@ def plan_tick(
         eta.phi + dt * d_phi, eta.sx + dt * d_sx, eta.sy + dt * d_sy,
         eta.tx + dt * d_tx, eta.ty + dt * d_ty,
     )
-    v_cmd = recover_velocity(state, d_eta, (px, py))
+    v_cmd = np.array(recover_velocity(state, d_eta, (px, py)))
     return TickResult(v_cmd=v_cmd, eta_next=eta_next, a_s=a_s)

@@ -17,6 +17,7 @@ only for the initial-position perturbation.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,11 @@ from .apf import desired_velocity  # noqa: F401
 
 # Tolerance used when counting hard-set violations in the metrics.
 HARD_VIOLATION_TOL = 1e-6
+
+
+class ConsensusStabilityWarning(UserWarning):
+    """A run's explicit-Euler consensus step dt * lam * deg reached 1, where
+    the consensus iteration stops being stable."""
 
 
 @dataclass(frozen=True)
@@ -171,7 +177,8 @@ class RunMetrics:
     The first three fields are per-tick series; the rest are run-level
     scalars.  `hard_violation_count` counts ticks on which any robot's
     scaling left the hard set beyond tolerance — it must be zero in every
-    passing run.
+    passing run.  `consensus_step_max` is the largest dt * lam_i * deg_i
+    over ticks and robots; explicit-Euler consensus is stable below 1.
     """
 
     times: np.ndarray
@@ -182,6 +189,7 @@ class RunMetrics:
     min_obstacle_clearance: float
     hard_violation_count: int
     goal_param_error: float
+    consensus_step_max: float
 
     def time_avg_disagreement(self) -> float:
         return float(np.mean(self.disagreement))
@@ -207,6 +215,7 @@ class RunMetrics:
             "min_obstacle_clearance": self.min_obstacle_clearance,
             "hard_violation_count": self.hard_violation_count,
             "goal_param_error": self.goal_param_error,
+            "consensus_step_max": self.consensus_step_max,
         }
 
 
@@ -344,6 +353,16 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
     delta[0] = math.pi - (math.pi - delta[0]) % (2.0 * math.pi)
     goal_param_error = float(np.linalg.norm(delta))
 
+    lam = np.array([scenario.gains_for(i).lam for i in range(log.n_robots)])
+    consensus_step_max = float(np.max(scenario.dt * lam * log.neighbor_counts.max(axis=0)))
+    if consensus_step_max >= 1.0:
+        warnings.warn(
+            f"consensus step dt * lam * deg reached {consensus_step_max:.4g} >= 1: "
+            f"explicit-Euler consensus is unstable there",
+            ConsensusStabilityWarning,
+            stacklevel=2,
+        )
+
     return RunMetrics(
         times=log.times.copy(),
         formation_error=formation_error,
@@ -353,6 +372,7 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
         min_obstacle_clearance=min_obstacle_clearance,
         hard_violation_count=hard_violation_count,
         goal_param_error=goal_param_error,
+        consensus_step_max=consensus_step_max,
     )
 
 

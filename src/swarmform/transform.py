@@ -4,7 +4,8 @@ A formation is a base configuration of slot positions mapped through a
 rotation, a per-axis scaling, and a translation.  The five-parameter vector
 (phi, sx, sy, tx, ty) fully describes the transformation; every robot in the
 swarm carries its own instance of it.  All functions here are pure and
-operate on immutable values, so they are safe to call concurrently.
+operate on immutable values, so they are safe to call concurrently; those
+of one robot return float tuples, and numpy is for swarm-sized arrays only.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ def unit_grid(side: int = 3, spacing: float = 1.0) -> BaseConfiguration:
     return BaseConfiguration(slots)
 
 
-def apply_transform(eta: FormationParams, c) -> np.ndarray:
-    """Map a base-configuration slot to its world position.
+def apply_transform(eta: FormationParams, c) -> tuple[float, float]:
+    """Map a base-configuration slot to its world position (x, y).
 
     Computes R(phi) @ diag(sx, sy) @ c + t.
     """
@@ -148,7 +149,7 @@ def apply_transform(eta: FormationParams, c) -> np.ndarray:
     sphi = math.sin(eta.phi)
     x = eta.sx * cx
     y = eta.sy * cy
-    return np.array([cphi * x - sphi * y + eta.tx, sphi * x + cphi * y + eta.ty])
+    return (cphi * x - sphi * y + eta.tx, sphi * x + cphi * y + eta.ty)
 
 
 def apply_transform_many(etas: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -168,7 +169,7 @@ def apply_transform_many(etas: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return np.stack([px, py], axis=-1)
 
 
-def jacobian(eta: FormationParams, c) -> np.ndarray:
+def jacobian(eta: FormationParams, c) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """2x5 Jacobian of the slot position with respect to (phi, sx, sy, tx, ty).
 
     The translation block is the 2x2 identity, which guarantees the rows are
@@ -179,14 +180,13 @@ def jacobian(eta: FormationParams, c) -> np.ndarray:
     sphi = math.sin(eta.phi)
     sxcx = eta.sx * cx
     sycy = eta.sy * cy
-    # A flat tuple, reshaped, builds the array faster than nested lists do.
-    return np.array((
-        -sphi * sxcx - cphi * sycy, cphi * cx, -sphi * cy, 1.0, 0.0,
-        cphi * sxcx - sphi * sycy, sphi * cx, cphi * cy, 0.0, 1.0,
-    )).reshape(2, 5)
+    return (
+        (-sphi * sxcx - cphi * sycy, cphi * cx, -sphi * cy, 1.0, 0.0),
+        (cphi * sxcx - sphi * sycy, sphi * cx, cphi * cy, 0.0, 1.0),
+    )
 
 
-def pseudo_inverse(J: np.ndarray) -> np.ndarray:
+def pseudo_inverse(J) -> tuple[tuple[float, float], ...]:
     """Right Moore-Penrose pseudo-inverse J.T @ inv(J @ J.T) of a 2x5 Jacobian.
 
     The 2x2 system is solved with the closed-form determinant inverse; for
@@ -194,10 +194,10 @@ def pseudo_inverse(J: np.ndarray) -> np.ndarray:
     J @ J.T at least the identity, so the solve cannot degenerate in
     practice.  Raises :class:`SingularMatrixError` defensively otherwise.
     """
-    J = np.asarray(J, dtype=float)
-    if J.shape != (2, 5):
-        raise ValueError(f"expected a 2x5 Jacobian, got shape {J.shape}")
-    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = J.tolist()
+    try:
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = J
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a 2x5 Jacobian, got {J!r}") from None
     # Summed left to right, as sum() over the rows would.
     m00 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4
     m01 = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
@@ -209,10 +209,10 @@ def pseudo_inverse(J: np.ndarray) -> np.ndarray:
     i01 = -m01 / det
     i11 = m00 / det
     # J.T @ [[i00, i01], [i01, i11]]
-    return np.array((
-        a0 * i00 + b0 * i01, a0 * i01 + b0 * i11,
-        a1 * i00 + b1 * i01, a1 * i01 + b1 * i11,
-        a2 * i00 + b2 * i01, a2 * i01 + b2 * i11,
-        a3 * i00 + b3 * i01, a3 * i01 + b3 * i11,
-        a4 * i00 + b4 * i01, a4 * i01 + b4 * i11,
-    )).reshape(5, 2)
+    return (
+        (a0 * i00 + b0 * i01, a0 * i01 + b0 * i11),
+        (a1 * i00 + b1 * i01, a1 * i01 + b1 * i11),
+        (a2 * i00 + b2 * i01, a2 * i01 + b2 * i11),
+        (a3 * i00 + b3 * i01, a3 * i01 + b3 * i11),
+        (a4 * i00 + b4 * i01, a4 * i01 + b4 * i11),
+    )

@@ -85,7 +85,7 @@ def test_c02_pseudo_inverse_right_identity(jacobian_samples):
         eye = np.eye(2)
         for eta, c in jacobian_samples:
             J = jacobian(eta, c)
-            resid = np.abs(J @ pseudo_inverse(J) - eye).max()
+            resid = np.abs(np.asarray(J) @ np.asarray(pseudo_inverse(J)) - eye).max()
             worst = max(worst, float(resid))
         assert worst < 1e-10, f"max residual {worst}"
 

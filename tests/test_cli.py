@@ -90,3 +90,34 @@ def test_bench_prints_and_writes_table(tmp_path, scenario_file, capsys):
 def test_missing_subcommand_is_an_error(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def _assert_reported(rc, capsys, *names):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("swarmform: error: ")
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
+def test_unknown_key_is_reported_without_traceback(tmp_path, scenario_file, capsys):
+    path = tmp_path / "old.yaml"
+    path.write_text(scenario_file.read_text() + "r_d: 10.0\n")
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    _assert_reported(rc, capsys, "r_d")
+
+
+def test_missing_file_is_reported_without_traceback(tmp_path, capsys):
+    path = tmp_path / "missing.yaml"
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    _assert_reported(rc, capsys, "missing.yaml")
+
+
+def test_rejected_override_is_reported_without_traceback(tmp_path, scenario_file, capsys):
+    rc = main([
+        "run", "--scenario", str(scenario_file), "--out", str(tmp_path / "out"),
+        "--t-final", "0.0001",
+    ])
+    _assert_reported(rc, capsys, "t_final")
+    assert not (tmp_path / "out").exists()

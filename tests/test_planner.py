@@ -21,6 +21,7 @@ from swarmform import (
     plan_tick,
     potential_field,
     project_scaling,
+    recover_velocity,
     scale_derivative,
     soft_term,
     square_distances,
@@ -183,6 +184,17 @@ class TestPlanTick:
             plan_tick(state, (0.0, 0.0), [], (math.inf, 0.0), 1e-3)
         with pytest.raises(ValueError):
             plan_tick(state, (0.0, 0.0), [], (0.0, 0.0), 0.0)
+
+
+class TestFloatPath:
+    def test_recovered_velocity_is_a_float_pair(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            state = make_state(eta=random_eta(rng), slot=random_slot(rng), k_fb=2.0)
+            rate = tuple(rng.uniform(-5, 5, 5).tolist())
+            v = recover_velocity(state, rate, rng.uniform(-5, 5, 2))
+            assert type(v) is tuple and len(v) == 2
+            assert all(type(x) is float for x in v)
 
 
 class TestTickAllocation:

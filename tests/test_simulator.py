@@ -1,13 +1,17 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swarmform.simulator
 from swarmform import (
     ApfGains,
     BaseConfiguration,
+    ConsensusStabilityWarning,
     ConstraintSpec,
     FormationParams,
     NonFiniteInputError,
@@ -21,6 +25,7 @@ from swarmform import (
     run,
     unit_grid,
 )
+from swarmform.constraints import MEMBERSHIP_TOL
 
 # Upper bound on the reference run's final parameter distance to the goal,
 # with the rotation compared modulo a full turn (measured 0.0081: the mean
@@ -318,6 +323,108 @@ class TestComputeMetrics:
         )
         with pytest.raises(ValueError):
             compute_metrics(log, sc)
+
+
+class TestConsensusStepBound:
+    """`consensus_step_max` is the realised max of dt * lam_i * deg_i; explicit
+    Euler consensus is stable below 1."""
+
+    @staticmethod
+    def _dense_grid(lam):
+        # 10x10 unit grid, r_c = 10 reaches every other robot: degree 99.
+        return Scenario(
+            base=unit_grid(10, 1.0),
+            eta_goal=FormationParams(0.2, 1.0, 1.0, 1.0, 0.5),
+            gains=PlannerGains(lam, 20.0, 2.0),
+            r_c=10.0,
+            t_final=3e-3,
+        )
+
+    def test_reference_run_reads_its_margin_and_does_not_warn(self, run_cache):
+        entry = run_cache.get(lam=32.0, mu=20.0, k_fb=2.0)
+        assert entry.metrics.consensus_step_max == 0.256
+        assert entry.metrics.summary()["consensus_step_max"] == 0.256
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConsensusStabilityWarning)
+            compute_metrics(entry.log, entry.scenario)
+
+    def test_dense_grid_past_the_bound_warns(self):
+        with pytest.warns(ConsensusStabilityWarning, match="3.168"):
+            _, m = run(self._dense_grid(32.0))
+        assert m.consensus_step_max == 3.168
+
+    def test_dense_grid_inside_the_bound_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConsensusStabilityWarning)
+            _, m = run(self._dense_grid(8.0))
+        assert m.consensus_step_max == 0.792
+
+    def test_per_robot_gains_and_degrees(self):
+        sc = tiny_scenario(gains=(PlannerGains(8.0, 0.0, 0.0), PlannerGains(50.0, 0.0, 0.0),
+                                  PlannerGains(1.0, 0.0, 0.0), PlannerGains(0.0, 0.0, 0.0)))
+        log, _ = run(sc)
+        counts = np.zeros_like(log.neighbor_counts)
+        counts[5] = (3, 1, 3, 3)
+        counts[7] = (0, 2, 0, 0)
+        m = compute_metrics(replace(log, neighbor_counts=counts), sc)
+        assert m.consensus_step_max == pytest.approx(1e-3 * 50.0 * 2)
+
+
+@st.composite
+def small_scenarios(draw):
+    """2-6 robots on distinct jittered cells of a 4x4 grid, per-robot gains
+    with dt * lam * (N - 1) < 1, a random constraint spec, an initial
+    scaling anywhere in the hard set and a goal scaling inside or outside it,
+    run for 30-60 ticks."""
+    n = draw(st.integers(2, 6))
+    cells = draw(st.lists(st.integers(0, 15), min_size=n, max_size=n, unique=True))
+    jitter = st.floats(-0.3, 0.3)
+    slots = tuple((c % 4 - 1.5 + draw(jitter), c // 4 - 1.5 + draw(jitter)) for c in cells)
+    dt = draw(st.sampled_from([1e-3, 5e-3]))
+    lam_max = 1.0 / (dt * (n - 1))
+    gains = tuple(
+        PlannerGains(draw(st.floats(0.0, 0.999)) * lam_max, draw(st.floats(0.0, 50.0)),
+                     draw(st.floats(0.0, 5.0)))
+        for _ in range(n)
+    )
+    eps_hard = draw(st.floats(0.1, 0.8))
+    eps_soft = eps_hard + draw(st.floats(0.0, 0.5))
+    r_soft = eps_soft * math.sqrt(2.0) + draw(st.floats(0.05, 2.0))
+    r_hard = r_soft + draw(st.floats(0.0, 1.5))
+    spec = ConstraintSpec(eps_soft=eps_soft, eps_hard=eps_hard, r_soft=r_soft, r_hard=r_hard)
+
+    def in_hard_set():
+        sx = draw(st.floats(eps_hard, math.sqrt(r_hard**2 - eps_hard**2)))
+        return sx, draw(st.floats(eps_hard, max(eps_hard, math.sqrt(r_hard**2 - sx**2))))
+
+    init = in_hard_set()
+    goal = in_hard_set() if draw(st.booleans()) else (draw(st.floats(0.05, 4.0)),
+                                                      draw(st.floats(0.05, 4.0)))
+    angle, shift = st.floats(-math.pi, math.pi), st.floats(-3.0, 3.0)
+    return Scenario(
+        base=BaseConfiguration(slots),
+        eta_init=FormationParams(draw(angle), *init, draw(shift), draw(shift)),
+        eta_goal=FormationParams(draw(angle), *goal, draw(shift), draw(shift)),
+        gains=gains,
+        constraints=spec,
+        r_c=draw(st.floats(0.5, 10.0)),
+        dt=dt,
+        t_final=draw(st.integers(30, 60)) * dt,
+        init_noise_sigma=draw(st.floats(0.0, 0.05)),
+        rng_seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestWholeRunHardSetInvariance:
+    @pytest.mark.filterwarnings("ignore::swarmform.PenetrationWarning")
+    @given(scenario=small_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_every_logged_scaling_stays_in_the_hard_set(self, scenario):
+        log, m = run(scenario)
+        assert m.hard_violation_count == 0
+        spec = scenario.constraints
+        for sx, sy in log.etas[:, :, 1:3].reshape(-1, 2).tolist():
+            assert spec.in_hard_set(sx, sy, tol=MEMBERSHIP_TOL), (sx, sy)
 
 
 class TestReferenceRun:

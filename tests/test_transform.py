@@ -29,8 +29,8 @@ def fd_jacobian(eta: FormationParams, c, h: float = 1e-6) -> np.ndarray:
         dn = base.copy()
         up[k] += h
         dn[k] -= h
-        p_up = apply_transform(FormationParams.from_array(up), c)
-        p_dn = apply_transform(FormationParams.from_array(dn), c)
+        p_up = np.asarray(apply_transform(FormationParams.from_array(up), c))
+        p_dn = np.asarray(apply_transform(FormationParams.from_array(dn), c))
         cols.append((p_up - p_dn) / (2.0 * h))
     return np.column_stack(cols)
 
@@ -77,7 +77,7 @@ class TestApplyTransform:
             ci = np.array(random_slot(rng))
             cj = np.array(random_slot(rng))
             d_world = np.linalg.norm(
-                apply_transform(eta, ci) - apply_transform(eta, cj)
+                np.asarray(apply_transform(eta, ci)) - np.asarray(apply_transform(eta, cj))
             )
             d_scaled = np.hypot(eta.sx * (ci[0] - cj[0]), eta.sy * (ci[1] - cj[1]))
             assert d_world == pytest.approx(d_scaled, abs=1e-12)
@@ -100,7 +100,7 @@ class TestJacobian:
     def test_origin_slot_leaves_only_translation_columns(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            J = jacobian(random_eta(rng), (0.0, 0.0))
+            J = np.asarray(jacobian(random_eta(rng), (0.0, 0.0)))
             assert np.allclose(J[:, :3], 0.0, atol=0.0)
             assert np.allclose(J[:, 3:], np.eye(2), atol=0.0)
 
@@ -123,7 +123,7 @@ class TestPseudoInverse:
         rng = np.random.default_rng(123)
         for _ in range(1000):
             J = jacobian(random_eta(rng), random_slot(rng))
-            resid = np.abs(J @ pseudo_inverse(J) - np.eye(2)).max()
+            resid = np.abs(np.asarray(J) @ np.asarray(pseudo_inverse(J)) - np.eye(2)).max()
             assert resid < 1e-10
 
     def test_matches_svd_oracle(self):
@@ -134,12 +134,12 @@ class TestPseudoInverse:
 
     def test_origin_slot_reduces_to_transpose(self):
         J = jacobian(FormationParams.identity(), (0.0, 0.0))
-        assert np.array_equal(pseudo_inverse(J), J.T)
+        assert np.array_equal(pseudo_inverse(J), np.asarray(J).T)
 
     def test_normal_matrix_is_well_conditioned(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            J = jacobian(random_eta(rng), random_slot(rng))
+            J = np.asarray(jacobian(random_eta(rng), random_slot(rng)))
             assert np.linalg.eigvalsh(J @ J.T).min() >= 1.0 - 1e-9
 
     def test_singular_input_raises(self):
@@ -149,6 +149,39 @@ class TestPseudoInverse:
     def test_wrong_shape_raises(self):
         with pytest.raises(ValueError):
             pseudo_inverse(np.zeros((3, 4)))
+
+
+def _float_rows(value, shape):
+    """True when `value` is a tuple of tuples of Python floats with `shape`."""
+    rows, cols = shape
+    return (
+        type(value) is tuple and len(value) == rows
+        and all(type(row) is tuple and len(row) == cols for row in value)
+        and all(type(x) is float for row in value for x in row)
+    )
+
+
+class TestFloatPath:
+    """One robot's values are plain Python floats, never arrays."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_robot_helpers_return_float_tuples(self, seed):
+        rng = np.random.default_rng(seed)
+        eta, slot = random_eta(rng), np.array(random_slot(rng))
+        assert _float_rows((apply_transform(eta, slot),), (1, 2))
+        J = jacobian(eta, slot)
+        assert _float_rows(J, (2, 5))
+        assert _float_rows(pseudo_inverse(J), (5, 2))
+
+    @pytest.mark.parametrize("J", [
+        ((1.0, 0.0, 0.0, 1.0, 0.0),),
+        ((1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0)),
+        ((1.0, 0.0, 0.0, 1.0, 0.0), (0.0, 1.0, 0.0, 0.0, 1.0), (0.0,) * 5),
+        1.0,
+    ])
+    def test_pseudo_inverse_names_the_expected_shape(self, J):
+        with pytest.raises(ValueError, match="expected a 2x5 Jacobian"):
+            pseudo_inverse(J)
 
 
 class TestTypes:
