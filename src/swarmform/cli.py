@@ -39,6 +39,26 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         raise ValidationError(f"rejected override: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, exit code 2
+        self.exit(2, f"swarmform: error: {message}\n")
+
+
+def _at_least(minimum: int):
+    def count(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return int(text)
+    return count
+
+
+def gain_grid(text: str) -> list[float]:
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
+
+
 def _add_common_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override rng_seed")
     parser.add_argument("--dt", type=float, default=None, help="override time step (s)")
@@ -66,8 +86,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _apply_overrides(parse_scenario(args.scenario), args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    entries = sweep(scenario, args.param, values)
+    entries = sweep(scenario, args.param, args.values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for entry in entries:
@@ -102,7 +121,7 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swarmform",
         description="Decentralized rigid-formation planner: simulate, sweep, benchmark.",
     )
@@ -126,18 +145,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True,
                          choices=("lambda", "mu", "k_fb"),
                          help="gain to vary")
-    p_sweep.add_argument("--values", required=True,
+    p_sweep.add_argument("--values", required=True, type=gain_grid,
                          help="comma-separated gain values, e.g. 1,2,8,32")
     _add_common_overrides(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_bench = sub.add_parser("bench", help="micro-benchmark the planner steps")
     p_bench.add_argument("--scenario", required=True, help="scenario YAML file")
-    p_bench.add_argument("--iters", type=int, default=100_000,
+    p_bench.add_argument("--iters", type=_at_least(1), default=100_000,
                          help="measured iterations per step")
-    p_bench.add_argument("--warmup", type=int, default=1000,
+    p_bench.add_argument("--warmup", type=_at_least(0), default=1000,
                          help="warmup iterations per step")
-    p_bench.add_argument("--max-samples", type=int, default=256,
+    p_bench.add_argument("--max-samples", type=_at_least(1), default=256,
                          help="number of robot states sampled from the run")
     p_bench.add_argument("--out", default=None, help="also write the table here")
     _add_common_overrides(p_bench)

@@ -1,13 +1,13 @@
 """Closed-loop multi-robot simulation.
 
 Each synchronous tick computes the swarm's pairwise squared distances once
-and builds two things from them: the communication graph, over which every
-robot receives its neighbours' parameter vectors, and every robot's
-potential-field velocity, in one array pass.  Then each robot runs its own
-planner tick (`plan_tick`) on barrier-time data only, and the
-single-integrator dynamics are integrated with explicit Euler.  This is the
-same as running each robot's planner in parallel with a per-tick
-synchronization barrier.
+and builds two things from them in array passes: the communication graph, a
+CSR neighbour table over which every robot receives its neighbours'
+parameter vectors, and every robot's potential-field velocity.  Then each
+robot runs its own planner tick (`plan_tick`) on barrier-time data only,
+and the single-integrator dynamics are integrated with explicit Euler.
+This is the same as running each robot's planner in parallel with a
+per-tick synchronization barrier.
 
 Runs are deterministic: all randomness comes from one seed, split into one
 independent stream per robot (numpy SeedSequence spawning), and is used
@@ -277,9 +277,9 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
 
     for k in range(n_ticks):
         d2 = square_distances(positions)
-        neighbors = build_graph(positions, scenario.r_c, d2)
+        graph = build_graph(positions, scenario.r_c, d2)
         etas = [st.eta for st in states]
-        received = exchange(neighbors, etas)
+        received = exchange(graph, etas)
         v_des = potential_field(positions, goals, centers, radii, positions, d2, scenario.apf)
         results = []
         rows = zip(states, v_des.tolist(), received, positions.tolist())
@@ -291,7 +291,7 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
         for st, res in zip(states, results):
             st.eta = res.eta_next
         log_a_s[k] = [res.a_s for res in results]
-        log_nbrs[k] = [len(nbrs) for nbrs in received]
+        log_nbrs[k] = np.diff(graph[0])
         log_pos[k] = positions
         log_vel[k] = [res.v_cmd for res in results]
         log_eta[k] = [(e.phi, e.sx, e.sy, e.tx, e.ty) for e in etas]

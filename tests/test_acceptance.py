@@ -42,6 +42,7 @@ from swarmform.bench import STEP_NAMES
 from swarmform.presets import NOISE_SIGMA
 
 from .conftest import random_eta, random_slot
+from .helpers import neighbor_tuples
 from .test_constraints import SEVEN_CASES, bisect_scale_factor, sample_hard_member
 from .test_transform import fd_jacobian
 
@@ -165,9 +166,9 @@ def test_c06_consensus_contraction():
         prev_spread = None
         for _ in range(n_ticks):
             nbrs = build_graph(positions, r_c=10.0)
-            deg_max = max(len(nbrs[i]) for i in range(n))
-            assert lam * dt * deg_max < 1.0
-            assert all(len(nbrs[i]) > 0 for i in range(n))  # stays connected
+            degrees = [len(ids) for ids in neighbor_tuples(nbrs)]
+            assert lam * dt * max(degrees) < 1.0
+            assert all(d > 0 for d in degrees)  # stays connected
             current = [st.eta for st in states]
             arr = np.array([e.as_array() for e in current])
             spread = arr.max(axis=0) - arr.min(axis=0)

@@ -121,3 +121,24 @@ def test_rejected_override_is_reported_without_traceback(tmp_path, scenario_file
     ])
     _assert_reported(rc, capsys, "t_final")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["bench", "--iters", "0"], "--iters"),
+        (["bench", "--warmup", "-1"], "--warmup"),
+        (["sweep", "--out", "x", "--param", "mu", "--values", ""], "--values"),
+        (["sweep", "--out", "x", "--param", "mu", "--values", " , "], "--values"),
+    ],
+)
+def test_bad_counts_and_values_are_rejected_by_the_parser(scenario_file, capsys, argv, name):
+    # They used to reach bench() or sweep() and end in a ValueError traceback.
+    with pytest.raises(SystemExit) as exit_info:
+        main([argv[0], "--scenario", str(scenario_file), *argv[1:]])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("swarmform: error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert name in err

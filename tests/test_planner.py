@@ -31,6 +31,7 @@ from swarmform import (
 )
 
 from .conftest import random_eta, random_slot
+from .helpers import neighbor_tuples
 
 SOFT_SPEC = ConstraintSpec(eps_soft=0.5, eps_hard=0.25, r_soft=2.5, r_hard=2.75)
 
@@ -300,7 +301,7 @@ class TestPlanTickProperties:
                 changed = list(etas)
                 e = etas[j]
                 changed[j] = FormationParams(e.phi + 0.5, e.sx * 1.1, e.sy, e.tx + 1.0, e.ty - 1.0)
-                if j in nbrs[i]:
+                if j in neighbor_tuples(nbrs)[i]:
                     assert tick(i, changed)[1] != before[1]
                 else:
                     assert tick(i, changed) == before
