@@ -11,7 +11,6 @@ from .apf import (
     ApfGains,
     Obstacle,
     PenetrationWarning,
-    attractive_velocity,
     desired_velocity,
     potential_field,
     repulsive_velocity,

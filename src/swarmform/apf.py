@@ -149,12 +149,6 @@ def potential_field(
     return v
 
 
-def attractive_velocity(p, p_goal, gains: ApfGains) -> np.ndarray:
-    """Velocity pulling toward the goal: constant speed k_att outside the
-    switch distance, linearly ramped inside it, exactly zero at the goal."""
-    return _attraction(_row(p), _row(p_goal), gains)[0]
-
-
 def repulsive_velocity(surface_distance: float, away_direction, gains: ApfGains) -> np.ndarray:
     """Velocity pushing away from the nearest surface.
 

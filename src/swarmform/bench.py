@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apf import desired_velocity
-from .network import build_graph, exchange
+from .apf import obstacle_arrays, potential_field
+from .network import build_graph, exchange, square_distances
 from .planner import (
     PlannerState,
     Rate,
@@ -100,12 +100,17 @@ def collect_samples(scenario: Scenario, max_samples: int = 256) -> list[_Sample]
     ticks = np.unique(
         np.linspace(0, log.n_ticks - 1, n_ticks_wanted).astype(int)
     )
-    goal_slots = [apply_transform(scenario.eta_goal, c) for c in scenario.base.slots]
+    goals = np.array([apply_transform(scenario.eta_goal, c) for c in scenario.base.slots])
+    centers, radii = obstacle_arrays(scenario.obstacles)
     samples: list[_Sample] = []
     for k in ticks:
         positions = log.positions[k]
         etas = [FormationParams.from_array(log.etas[k, i]) for i in range(n)]
-        received = exchange(build_graph(positions, scenario.r_c), etas)
+        d2 = square_distances(positions)
+        received = exchange(build_graph(positions, scenario.r_c, d2), etas)
+        v_des = potential_field(
+            positions, goals, centers, radii, positions, d2, scenario.apf
+        )
         for i in range(n):
             if len(samples) >= max_samples:
                 return samples
@@ -115,16 +120,12 @@ def collect_samples(scenario: Scenario, max_samples: int = 256) -> list[_Sample]
                 gains=scenario.gains_for(i),
                 constraints=scenario.constraints,
             )
-            others = np.delete(positions, i, axis=0)
-            v_des = desired_velocity(
-                positions[i], goal_slots[i], scenario.obstacles, others, scenario.apf
-            )
-            d_raw = raw_derivative(state, v_des, received[i])
+            d_raw = raw_derivative(state, v_des[i], received[i])
             d_scaled, _ = scale_derivative(state.eta, d_raw, state.constraints, scenario.dt)
             samples.append(
                 _Sample(
                     state=state,
-                    v_des=v_des,
+                    v_des=v_des[i],
                     neighbors=received[i],
                     p=positions[i].copy(),
                     dt=scenario.dt,
@@ -175,6 +176,8 @@ def bench(
     """Measure the per-call latency of every planner step on one scenario."""
     if warmup_iters < 0 or measured_iters <= 0:
         raise ValueError("iteration counts must be positive")
+    if max_samples < 1:
+        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
     samples = collect_samples(scenario, max_samples=max_samples)
 
     step_fns = {

@@ -19,7 +19,7 @@ from .fileio import (
     write_metrics_summary,
 )
 from .simulator import Scenario, run
-from .sweep import format_sweep_table, sweep
+from .sweep import PARAM_FIELDS, format_sweep_table, sweep
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scenario", required=True, help="scenario YAML file")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.add_argument("--param", required=True,
-                         choices=("lambda", "mu", "k_fb"),
+                         choices=tuple(PARAM_FIELDS),
                          help="gain to vary")
     p_sweep.add_argument("--values", required=True, type=gain_grid,
                          help="comma-separated gain values, e.g. 1,2,8,32")

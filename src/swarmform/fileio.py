@@ -2,46 +2,34 @@
 
 Scenario files are YAML with a flat, strictly-checked schema: unknown keys
 are rejected outright so a typo cannot silently fall back to a default.
-Every omitted key takes its documented default from the corresponding
-dataclass, and the resolved scenario can be written back out
-(`emit_scenario`) so a run's effective configuration is always on disk.
+The schema comes from the dataclasses: a record's keys are its fields
+(`PlannerGains.lam` is spelled `lambda`), and every omitted key or field
+takes the default that `Scenario` and the record classes define, an
+omitted `eta_goal` field the identity's.  The resolved scenario can be
+written back out (`emit_scenario`) so a run's effective configuration is
+always on disk.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .apf import ApfGains, Obstacle
-from .constraints import ConstraintSpec
-from .planner import PlannerGains
+from .apf import Obstacle
 from .simulator import RunMetrics, Scenario, TrajectoryLog
 from .transform import BaseConfiguration, FormationParams
 
 CSV_HEADER = "t,robot,px,py,vx,vy,phi,sx,sy,tx,ty,a_s,neighbors"
 
-_TOP_KEYS = (
-    "base",
-    "eta_init",
-    "eta_goal",
-    "obstacles",
-    "gains",
-    "apf",
-    "constraints",
-    "r_c",
-    "dt",
-    "t_final",
-    "init_noise_sigma",
-    "rng_seed",
-)
-_ETA_KEYS = ("phi", "sx", "sy", "tx", "ty")
-_GAIN_KEYS = {"lambda": "lam", "mu": "mu", "k_fb": "k_fb"}
-_APF_KEYS = ("k_att", "rho", "k_rep", "xi", "nu")
-_CONSTRAINT_KEYS = ("eps_soft", "eps_hard", "r_soft", "r_hard")
-_OBSTACLE_KEYS = ("center", "radius")
+# Scenario's fields in file order, which lists eta_init before eta_goal.
+_TOP_KEYS = ("base", "eta_init", "eta_goal", "obstacles", "gains", "apf", "constraints",
+             "r_c", "dt", "t_final", "init_noise_sigma", "rng_seed")
+# File keys of the record fields whose key is not their field name.
+FILE_KEYS = {"lam": "lambda"}
 
 
 class ParseError(ValueError):
@@ -83,107 +71,80 @@ def _pair(value, where: str) -> tuple[float, float]:
     return (_number(value[0], where), _number(value[1], where))
 
 
-def _parse_eta(value, where: str) -> FormationParams:
+def _record(value, where: str, default):
+    """`default` with the fields that the mapping `value` sets replaced.
+
+    The keys are the file keys of `default`'s fields, the values numbers.
+    """
     mapping = _require_mapping(value, where)
-    _reject_unknown(mapping, _ETA_KEYS, where)
-    kwargs = {k: _number(mapping[k], f"{where}.{k}") for k in mapping}
-    defaults = {"phi": 0.0, "sx": 1.0, "sy": 1.0, "tx": 0.0, "ty": 0.0}
-    defaults.update(kwargs)
+    names = {FILE_KEYS.get(f.name, f.name): f.name for f in fields(default)}
+    _reject_unknown(mapping, names, where)
+    values = {names[k]: _number(v, f"{where}.{k}") for k, v in mapping.items()}
     try:
-        return FormationParams(**defaults)
+        return replace(default, **values)
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _parse_gains_mapping(value, where: str) -> PlannerGains:
+def _record_dict(record) -> dict:
+    """Inverse of :func:`_record`: every field of `record`, by file key."""
+    return {FILE_KEYS.get(f.name, f.name): getattr(record, f.name) for f in fields(record)}
+
+
+def _obstacle(value, where: str) -> Obstacle:
     mapping = _require_mapping(value, where)
-    _reject_unknown(mapping, _GAIN_KEYS, where)
-    defaults = {"lam": 32.0, "mu": 20.0, "k_fb": 2.0}
-    for key, field in _GAIN_KEYS.items():
-        if key in mapping:
-            defaults[field] = _number(mapping[key], f"{where}.{key}")
+    names = [f.name for f in fields(Obstacle)]
+    _reject_unknown(mapping, names, where)
+    if any(name not in mapping for name in names):
+        raise ParseError(f"{where} needs " + " and ".join(map(repr, names)))
+    center = _pair(mapping["center"], f"{where}.center")
+    radius = _number(mapping["radius"], f"{where}.radius")
     try:
-        return PlannerGains(**defaults)
+        return Obstacle(center, radius)
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _field(key: str, value, default):
+    """Scenario field `key` read from its file value; `default` is the
+    field's default, or the record whose fields an omitted key takes."""
+    if key == "base":
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ParseError("base must be a non-empty list of [x, y] slots")
+        slots = tuple(_pair(p, f"base[{i}]") for i, p in enumerate(value))
+        try:
+            return BaseConfiguration(slots)
+        except ValueError as exc:
+            raise ValidationError(f"base: {exc}") from exc
+    if key == "obstacles":
+        if not isinstance(value, (list, tuple)):
+            raise ParseError("obstacles must be a list")
+        return tuple(_obstacle(o, f"obstacles[{i}]") for i, o in enumerate(value))
+    if key == "gains" and isinstance(value, (list, tuple)):  # one entry per robot
+        return tuple(_record(g, f"gains[{i}]", default) for i, g in enumerate(value))
+    if is_dataclass(default):
+        return _record(value, key, default)
+    if isinstance(default, int):
+        return _integer(value, key)
+    return _number(value, key)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a validated Scenario from a parsed scenario mapping."""
     _require_mapping(data, "scenario")
     _reject_unknown(data, _TOP_KEYS, "scenario")
-    for required in ("base", "eta_goal"):
-        if required not in data:
-            raise ParseError(f"missing required key '{required}'")
-
-    if not isinstance(data["base"], (list, tuple)) or not data["base"]:
-        raise ParseError("base must be a non-empty list of [x, y] slots")
-    slots = tuple(_pair(p, f"base[{i}]") for i, p in enumerate(data["base"]))
-    try:
-        base = BaseConfiguration(slots)
-    except ValueError as exc:
-        raise ValidationError(f"base: {exc}") from exc
-
-    kwargs: dict = {"base": base, "eta_goal": _parse_eta(data["eta_goal"], "eta_goal")}
-    if "eta_init" in data:
-        kwargs["eta_init"] = _parse_eta(data["eta_init"], "eta_init")
-
-    if "obstacles" in data:
-        if not isinstance(data["obstacles"], (list, tuple)):
-            raise ParseError("obstacles must be a list")
-        parsed = []
-        for i, entry in enumerate(data["obstacles"]):
-            where = f"obstacles[{i}]"
-            mapping = _require_mapping(entry, where)
-            _reject_unknown(mapping, _OBSTACLE_KEYS, where)
-            if "center" not in mapping or "radius" not in mapping:
-                raise ParseError(f"{where} needs 'center' and 'radius'")
-            try:
-                parsed.append(
-                    Obstacle(
-                        center=_pair(mapping["center"], f"{where}.center"),
-                        radius=_number(mapping["radius"], f"{where}.radius"),
-                    )
-                )
-            except ValueError as exc:
-                if isinstance(exc, ParseError):
-                    raise
-                raise ValidationError(f"{where}: {exc}") from exc
-        kwargs["obstacles"] = tuple(parsed)
-
-    if "gains" in data:
-        if isinstance(data["gains"], (list, tuple)):
-            kwargs["gains"] = tuple(
-                _parse_gains_mapping(g, f"gains[{i}]")
-                for i, g in enumerate(data["gains"])
-            )
-        else:
-            kwargs["gains"] = _parse_gains_mapping(data["gains"], "gains")
-
-    if "apf" in data:
-        mapping = _require_mapping(data["apf"], "apf")
-        _reject_unknown(mapping, _APF_KEYS, "apf")
-        values = {k: _number(v, f"apf.{k}") for k, v in mapping.items()}
-        try:
-            kwargs["apf"] = ApfGains(**values)
-        except ValueError as exc:
-            raise ValidationError(f"apf: {exc}") from exc
-
-    if "constraints" in data:
-        mapping = _require_mapping(data["constraints"], "constraints")
-        _reject_unknown(mapping, _CONSTRAINT_KEYS, "constraints")
-        values = {k: _number(v, f"constraints.{k}") for k, v in mapping.items()}
-        try:
-            kwargs["constraints"] = ConstraintSpec(**values)
-        except ValueError as exc:
-            raise ValidationError(f"constraints: {exc}") from exc
-
-    for key in ("r_c", "dt", "t_final", "init_noise_sigma"):
-        if key in data:
-            kwargs[key] = _number(data[key], key)
-    if "rng_seed" in data:
-        kwargs["rng_seed"] = _integer(data["rng_seed"], "rng_seed")
-
+    defaults = {
+        f.name: f.default if f.default_factory is MISSING else f.default_factory()
+        for f in fields(Scenario)
+        if f.default is not MISSING or f.default_factory is not MISSING
+    }
+    for key in _TOP_KEYS:
+        if key not in data and key not in defaults:
+            raise ParseError(f"missing required key '{key}'")
+    defaults["eta_goal"] = FormationParams.identity()
+    kwargs = {
+        key: _field(key, data[key], defaults.get(key)) for key in _TOP_KEYS if key in data
+    }
     try:
         return Scenario(**kwargs)
     except ValueError as exc:
@@ -191,34 +152,20 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Mapping form of a scenario, every field explicit."""
-
-    def eta_map(eta: FormationParams) -> dict:
-        return {"phi": eta.phi, "sx": eta.sx, "sy": eta.sy, "tx": eta.tx, "ty": eta.ty}
-
-    def gains_map(g: PlannerGains) -> dict:
-        return {"lambda": g.lam, "mu": g.mu, "k_fb": g.k_fb}
-
-    if isinstance(scenario.gains, tuple):
-        gains = [gains_map(g) for g in scenario.gains]
-    else:
-        gains = gains_map(scenario.gains)
-    return {
-        "base": [list(slot) for slot in scenario.base.slots],
-        "eta_init": eta_map(scenario.eta_init),
-        "eta_goal": eta_map(scenario.eta_goal),
-        "obstacles": [
-            {"center": list(o.center), "radius": o.radius} for o in scenario.obstacles
-        ],
-        "gains": gains,
-        "apf": {k: getattr(scenario.apf, k) for k in _APF_KEYS},
-        "constraints": {k: getattr(scenario.constraints, k) for k in _CONSTRAINT_KEYS},
-        "r_c": scenario.r_c,
-        "dt": scenario.dt,
-        "t_final": scenario.t_final,
-        "init_noise_sigma": scenario.init_noise_sigma,
-        "rng_seed": scenario.rng_seed,
-    }
+    """Mapping form of a scenario, every field explicit, in file order."""
+    out = {}
+    for key in _TOP_KEYS:
+        value = getattr(scenario, key)
+        if key == "base":
+            value = [list(slot) for slot in value.slots]
+        elif key == "obstacles":
+            value = [{"center": list(o.center), "radius": o.radius} for o in value]
+        elif isinstance(value, tuple):  # per-robot gains
+            value = [_record_dict(g) for g in value]
+        elif is_dataclass(value):
+            value = _record_dict(value)
+        out[key] = value
+    return out
 
 
 def parse_scenario(path) -> Scenario:

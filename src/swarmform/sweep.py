@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from .fileio import FILE_KEYS
+from .planner import PlannerGains
 from .simulator import RunMetrics, Scenario, TrajectoryLog, run
 
-PARAM_FIELDS = {"lambda": "lam", "mu": "mu", "k_fb": "k_fb", "k": "k_fb"}
+# The sweepable gains: PlannerGains' fields, by scenario-file key.
+PARAM_FIELDS = {FILE_KEYS.get(f.name, f.name): f.name for f in fields(PlannerGains)}
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,7 @@ def sweep(scenario: Scenario, parameter: str, values) -> list[SweepEntry]:
     if parameter not in PARAM_FIELDS:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; "
-            f"expected one of {sorted(set(PARAM_FIELDS))}"
+            f"expected one of {list(PARAM_FIELDS)}"
         )
     values = list(values)
     if not values:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from swarmform import (
     RunMetrics,
     Scenario,
     TrajectoryLog,
+    parse_scenario,
     reference_scenario,
     run,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def random_eta(rng: np.random.Generator) -> FormationParams:
@@ -43,8 +47,9 @@ class CachedRun:
 
 
 class RunCache:
-    """Memoizes full reference-scenario runs so the gain-grid tests and the
-    acceptance suite never simulate the same configuration twice."""
+    """Memoizes full runs of the reference scenario and of the bundled
+    scenario files, so the gain-grid tests and the acceptance suite never
+    simulate the same configuration twice."""
 
     def __init__(self):
         self._cache: dict[tuple, CachedRun] = {}
@@ -57,11 +62,18 @@ class RunCache:
         noise: float = 0.0,
         seed: int = 1,
     ) -> CachedRun:
-        key = (lam, mu, k_fb, noise, seed)
+        return self._run(
+            (lam, mu, k_fb, noise, seed),
+            lambda: reference_scenario(lam, mu, k_fb, init_noise_sigma=noise, rng_seed=seed),
+        )
+
+    def bundled(self, name: str, mu: float) -> CachedRun:
+        """Run of the bundled file `scenarios/<name>` with its mu replaced."""
+        return self._run((name, mu), lambda: parse_scenario(SCENARIOS / name).with_gains(mu=mu))
+
+    def _run(self, key: tuple, make_scenario) -> CachedRun:
         if key not in self._cache:
-            scenario = reference_scenario(
-                lam, mu, k_fb, init_noise_sigma=noise, rng_seed=seed
-            )
+            scenario = make_scenario()
             t0 = time.perf_counter()
             log, metrics = run(scenario)
             wall = time.perf_counter() - t0

@@ -50,6 +50,9 @@ LAMBDA_GRID = (1.0, 2.0, 8.0, 32.0)
 MU_GRID = (0.0, 10.0, 20.0, 100.0)
 K_GRID = (0.0, 2.0)
 WALL_CLOCK_LIMIT = 60.0  # seconds per full 9 s simulation
+# Bundled scenario in which both scaling sets bind: its goal scaling lies
+# outside the soft and the hard set.
+BOUND_FILE = "scaling_bound.yaml"
 
 
 @contextmanager
@@ -205,6 +208,12 @@ def test_c07_whole_run_safety_across_gain_grids(run_cache):
                 assert entry.wall_time < WALL_CLOCK_LIMIT, (
                     f"run {(lam, mu, k_fb)} took {entry.wall_time:.1f}s"
                 )
+            bound = [run_cache.bundled(BOUND_FILE, mu) for mu in MU_GRID]
+            for mu, entry in zip(MU_GRID, bound):
+                assert entry.metrics.hard_violation_count == 0, (BOUND_FILE, mu)
+                assert entry.wall_time < WALL_CLOCK_LIMIT, (BOUND_FILE, mu)
+            # The hard clamp acts, so the safety check is not vacuous there.
+            assert any(e.log.a_s.min() < 1.0 for e in bound), BOUND_FILE
 
 
 def test_c08_disagreement_monotone_in_lambda(run_cache):
@@ -225,6 +234,16 @@ def test_c09_soft_distance_monotone_in_mu(run_cache):
         ]
         for lo, hi in zip(averages[1:], averages[:-1]):
             assert lo <= hi, f"averages not monotone: {averages}"
+        # The reference run never leaves the soft set (all averages are 0),
+        # so the bound scenario is where the soft pull has to show.
+        bound = [
+            run_cache.bundled(BOUND_FILE, mu).metrics.time_avg_soft_distance()
+            for mu in MU_GRID
+        ]
+        for lo, hi in zip(bound[1:], bound[:-1]):
+            assert lo <= hi, f"{BOUND_FILE} averages not monotone: {bound}"
+        assert bound[0] > 0.0, f"{BOUND_FILE} never leaves the soft set"
+        assert bound[-1] < bound[0], f"mu has no effect on {BOUND_FILE}: {bound}"
 
 
 def test_c10_feedback_ablation_under_noise(run_cache):

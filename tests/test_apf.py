@@ -9,12 +9,25 @@ from swarmform import (
     ApfGains,
     Obstacle,
     PenetrationWarning,
-    attractive_velocity,
     desired_velocity,
+    potential_field,
     repulsive_velocity,
 )
 
 GAINS = ApfGains()  # documented defaults: k_att=5, rho=0.1, k_rep=5, xi=0.25, nu=1.5
+
+
+def attraction(p, p_goal, gains: ApfGains) -> np.ndarray:
+    """The field at one point with no obstacle and no robot: attraction alone."""
+    return potential_field(
+        np.array([p], dtype=float),
+        np.array([p_goal], dtype=float),
+        np.zeros((0, 2)),
+        np.zeros(0),
+        np.zeros((0, 2)),
+        np.zeros((1, 0)),
+        gains,
+    )[0]
 
 
 class TestGains:
@@ -40,24 +53,24 @@ class TestGains:
 class TestAttraction:
     def test_zero_at_goal(self):
         assert np.array_equal(
-            attractive_velocity((2.0, 3.0), (2.0, 3.0), GAINS), np.zeros(2)
+            attraction((2.0, 3.0), (2.0, 3.0), GAINS), np.zeros(2)
         )
 
     def test_cruise_speed_outside_switch_distance(self):
-        v = attractive_velocity((0.0, 0.0), (2 * GAINS.rho, 0.0), GAINS)
+        v = attraction((0.0, 0.0), (2 * GAINS.rho, 0.0), GAINS)
         assert v == pytest.approx([GAINS.k_att, 0.0], abs=1e-12)
 
     def test_linear_ramp_inside_switch_distance(self):
-        v = attractive_velocity((0.0, 0.0), (GAINS.rho / 2, 0.0), GAINS)
+        v = attraction((0.0, 0.0), (GAINS.rho / 2, 0.0), GAINS)
         assert v == pytest.approx([GAINS.k_att / 2, 0.0], abs=1e-12)
 
     def test_continuity_at_switch_distance(self):
-        lo = attractive_velocity((0.0, 0.0), (GAINS.rho - 1e-12, 0.0), GAINS)
-        hi = attractive_velocity((0.0, 0.0), (GAINS.rho + 1e-12, 0.0), GAINS)
+        lo = attraction((0.0, 0.0), (GAINS.rho - 1e-12, 0.0), GAINS)
+        hi = attraction((0.0, 0.0), (GAINS.rho + 1e-12, 0.0), GAINS)
         assert np.abs(lo - hi).max() < 1e-9
 
     def test_points_toward_goal(self):
-        v = attractive_velocity((1.0, 1.0), (4.0, 5.0), GAINS)
+        v = attraction((1.0, 1.0), (4.0, 5.0), GAINS)
         direction = np.array([3.0, 4.0]) / 5.0
         assert np.allclose(v, GAINS.k_att * direction, atol=1e-12)
 

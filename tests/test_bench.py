@@ -66,3 +66,5 @@ class TestBench:
             bench(short_scenario, warmup_iters=-1, measured_iters=10)
         with pytest.raises(ValueError):
             bench(short_scenario, warmup_iters=0, measured_iters=0)
+        with pytest.raises(ValueError, match="max_samples"):
+            bench(short_scenario, warmup_iters=0, measured_iters=10, max_samples=0)

@@ -130,6 +130,7 @@ def test_rejected_override_is_reported_without_traceback(tmp_path, scenario_file
         (["bench", "--warmup", "-1"], "--warmup"),
         (["sweep", "--out", "x", "--param", "mu", "--values", ""], "--values"),
         (["sweep", "--out", "x", "--param", "mu", "--values", " , "], "--values"),
+        (["sweep", "--out", "x", "--param", "k", "--values", "1"], "--param"),
     ],
 )
 def test_bad_counts_and_values_are_rejected_by_the_parser(scenario_file, capsys, argv, name):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +7,11 @@ import pytest
 
 from swarmform import (
     CSV_HEADER,
+    BaseConfiguration,
     FormationParams,
     ParseError,
     PlannerGains,
+    Scenario,
     TrajectoryLog,
     ValidationError,
     emit_scenario,
@@ -20,6 +22,7 @@ from swarmform import (
     run,
     scenario_from_dict,
 )
+from swarmform.fileio import _TOP_KEYS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -79,6 +82,13 @@ class TestParseScenario:
         }
         with pytest.raises(ParseError, match="kp"):
             scenario_from_dict(data)
+        per_robot = {
+            "base": [[0.0, 0.0], [1.0, 0.0]],
+            "eta_goal": {},
+            "gains": [{"lambda": 1.0}, {"mu": 1.0, "kp": 3.0}],
+        }
+        with pytest.raises(ParseError, match=r"'kp' in gains\[1\]"):
+            scenario_from_dict(per_robot)
 
     def test_missing_required_key_rejected(self):
         with pytest.raises(ParseError, match="eta_goal"):
@@ -146,6 +156,29 @@ class TestParseScenario:
         path = tmp_path / "pr.yaml"
         emit_scenario(sc, path)
         assert parse_scenario(path) == sc
+
+
+class TestSchema:
+    """The codec reads its keys and defaults off the dataclasses."""
+
+    def test_top_level_keys_are_the_scenario_fields(self):
+        assert len(_TOP_KEYS) == 12
+        assert set(_TOP_KEYS) == {f.name for f in fields(Scenario)}
+
+    def test_partial_records_keep_their_other_defaults(self):
+        default = Scenario(base=BaseConfiguration(((0.0, 0.0),)),
+                           eta_goal=FormationParams.identity())
+        sc = scenario_from_dict({
+            "base": [[0.0, 0.0]],
+            "eta_goal": {"tx": 5},
+            "gains": {"mu": 0},
+            "apf": {"nu": 2},
+        })
+        assert sc.gains == replace(default.gains, mu=0.0)
+        assert sc.eta_goal == replace(default.eta_goal, tx=5.0)
+        assert sc.apf == replace(default.apf, nu=2.0)
+        assert replace(sc, eta_goal=default.eta_goal, gains=default.gains,
+                       apf=default.apf) == default
 
 
 def _small_log(n_ticks, n_robots):

@@ -24,10 +24,6 @@ class TestSweep:
         d32 = entries[1].metrics.time_avg_disagreement()
         assert d32 <= d0
 
-    def test_k_alias(self, short_scenario):
-        entries = sweep(short_scenario, "k", [0.0])
-        assert entries[0].ok
-
     def test_failure_is_recorded_and_sweep_continues(self, short_scenario):
         entries = sweep(short_scenario, "mu", [10.0, -1.0, 20.0])
         assert entries[0].ok
@@ -36,8 +32,9 @@ class TestSweep:
         assert entries[2].ok
 
     def test_unknown_parameter_rejected(self, short_scenario):
-        with pytest.raises(ValueError):
-            sweep(short_scenario, "rho", [1.0])
+        for parameter in ("rho", "k"):  # "k" is the CLI's run option, not a gain name
+            with pytest.raises(ValueError):
+                sweep(short_scenario, parameter, [1.0])
 
     def test_empty_values_rejected(self, short_scenario):
         with pytest.raises(ValueError):
