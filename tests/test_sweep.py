@@ -31,10 +31,15 @@ class TestSweep:
         assert "ValueError" in entries[1].error
         assert entries[2].ok
 
+    def test_k_alias(self, short_scenario):
+        # "k" is the CLI's run option, not a gain name; the gain is "k_fb".
+        with pytest.raises(ValueError):
+            sweep(short_scenario, "k", [0.0])
+        assert sweep(short_scenario, "k_fb", [0.0])[0].ok
+
     def test_unknown_parameter_rejected(self, short_scenario):
-        for parameter in ("rho", "k"):  # "k" is the CLI's run option, not a gain name
-            with pytest.raises(ValueError):
-                sweep(short_scenario, parameter, [1.0])
+        with pytest.raises(ValueError):
+            sweep(short_scenario, "rho", [1.0])
 
     def test_empty_values_rejected(self, short_scenario):
         with pytest.raises(ValueError):
