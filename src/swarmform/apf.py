@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,10 +50,10 @@ class ApfGains:
     nu: float = 1.5
 
     def __post_init__(self):
-        for name in ("k_att", "rho", "k_rep", "xi", "nu"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"APF gain {name} must be finite and > 0, got {v}")
+                raise ValueError(f"APF gain {f.name} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True, slots=True)

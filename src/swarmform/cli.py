@@ -19,7 +19,7 @@ from .fileio import (
     write_metrics_summary,
 )
 from .simulator import Scenario, run
-from .sweep import PARAM_FIELDS, format_sweep_table, sweep
+from .sweep import PARAM_FIELDS, format_sweep_table, sweep, value_name
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -28,8 +28,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     Raises :class:`ValidationError` when the result breaks an invariant.
     """
     fields = {"rng_seed": args.seed, "dt": args.dt, "t_final": args.t_final}
-    gains = {"lam": getattr(args, "lam", None), "mu": getattr(args, "mu", None),
-             "k_fb": getattr(args, "k", None)}
+    gains = {name: getattr(args, name, None) for name in PARAM_FIELDS.values()}
     fields = {k: v for k, v in fields.items() if v is not None}
     gains = {k: v for k, v in gains.items() if v is not None}
     try:
@@ -56,6 +55,10 @@ def gain_grid(text: str) -> list[float]:
     values = [float(v) for v in text.split(",") if v.strip()]
     if not values:
         raise argparse.ArgumentTypeError("needs at least one value")
+    names = [value_name(v) for v in values]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # both runs would write the same files
+            raise argparse.ArgumentTypeError(f"repeats the value {name}")
     return values
 
 
@@ -92,7 +95,7 @@ def _cmd_sweep(args) -> int:
     for entry in entries:
         if not entry.ok:
             continue
-        tag = f"{args.param}_{entry.value:g}"
+        tag = f"{args.param}_{value_name(entry.value)}"
         export_csv(entry.log, out / f"trajectory_{tag}.csv")
         write_metrics_summary(entry.metrics, out / f"metrics_{tag}.txt")
     table = format_sweep_table(args.param, entries)
@@ -131,12 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True, help="scenario YAML file")
     p_run.add_argument("--out", required=True, help="output directory")
     _add_common_overrides(p_run)
-    p_run.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="override consensus gain")
-    p_run.add_argument("--mu", type=float, default=None,
-                       help="override soft-constraint gain")
-    p_run.add_argument("--k", type=float, default=None,
-                       help="override feedback gain")
+    for key, name in PARAM_FIELDS.items():
+        p_run.add_argument(f"--{key}", dest=name, type=float, default=None,
+                           help=f"override the planner gain {key}")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="rerun a scenario across a gain grid")

@@ -14,7 +14,7 @@ All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 # Relative slack on the squared-norm test of the disk membership check.
 # Keeps the projection exactly idempotent in floating point: every output
@@ -47,10 +47,10 @@ class ConstraintSpec:
     r_hard: float = 2.5
 
     def __post_init__(self):
-        for name in ("eps_soft", "eps_hard", "r_soft", "r_hard"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+                raise ValueError(f"{f.name} must be finite and > 0, got {v}")
         if self.eps_hard > self.eps_soft:
             raise ValueError("eps_hard must not exceed eps_soft")
         if self.r_soft > self.r_hard:

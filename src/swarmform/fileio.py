@@ -1,7 +1,8 @@
 """Scenario files, trajectory CSV export, and metrics summaries.
 
 Scenario files are YAML with a flat, strictly-checked schema: unknown keys
-are rejected outright so a typo cannot silently fall back to a default.
+are rejected outright so a typo cannot silently fall back to a default, and
+a key given twice in one mapping so a later line cannot silently win.
 The schema comes from the dataclasses: a record's keys are its fields
 (`PlannerGains.lam` is spelled `lambda`), and every omitted key or field
 takes the default that `Scenario` and the record classes define, an
@@ -39,6 +40,20 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """The scenario file is well-formed but violates a value invariant."""
+
+
+class _StrictLoader(yaml.SafeLoader):
+    """`yaml.SafeLoader` that rejects a key given twice in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):  # the base class rejects the others
+                if key.value in seen:
+                    line = key.start_mark.line + 1
+                    raise ParseError(f"duplicate key '{key.value}' at line {line}")
+                seen.add(key.value)
+        return super().construct_mapping(node, deep=deep)
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -177,7 +192,7 @@ def parse_scenario(path) -> Scenario:
     """
     text = Path(path).read_text()
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_StrictLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         location = f" at line {mark.line + 1}" if mark is not None else ""

@@ -19,7 +19,7 @@ global swarm state enters, which is what makes the planner decentralized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,10 +49,10 @@ class PlannerGains:
     k_fb: float
 
     def __post_init__(self):
-        for name in ("lam", "mu", "k_fb"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"gain {name} must be finite and >= 0, got {v}")
+                raise ValueError(f"gain {f.name} must be finite and >= 0, got {v}")
 
 
 @dataclass(slots=True)

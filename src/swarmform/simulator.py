@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -107,8 +107,8 @@ class Scenario:
         return self.gains
 
     def with_gains(self, **kwargs) -> "Scenario":
-        """Copy of the scenario with gain fields (lam, mu, k_fb) replaced on
-        every robot."""
+        """Copy of the scenario with `PlannerGains` fields replaced on every
+        robot."""
         if isinstance(self.gains, tuple):
             new = tuple(replace(g, **kwargs) for g in self.gains)
         else:
@@ -160,13 +160,8 @@ class TrajectoryLog:
 
     def identical(self, other: "TrajectoryLog") -> bool:
         """Bitwise equality of every record."""
-        return (
-            np.array_equal(self.times, other.times)
-            and np.array_equal(self.positions, other.positions)
-            and np.array_equal(self.velocities, other.velocities)
-            and np.array_equal(self.etas, other.etas)
-            and np.array_equal(self.a_s, other.a_s)
-            and np.array_equal(self.neighbor_counts, other.neighbor_counts)
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
 

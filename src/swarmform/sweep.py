@@ -12,6 +12,11 @@ from .simulator import RunMetrics, Scenario, TrajectoryLog, run
 PARAM_FIELDS = {FILE_KEYS.get(f.name, f.name): f.name for f in fields(PlannerGains)}
 
 
+def value_name(value: float) -> str:
+    """A sweep value as its files and table row name it, at the CSV's precision."""
+    return f"{value:.12g}"
+
+
 @dataclass(frozen=True)
 class SweepEntry:
     """Outcome of one sweep point; `error` is set when the run failed."""
@@ -63,11 +68,13 @@ def format_sweep_table(parameter: str, entries) -> str:
         "min_robot_distance",
         "hard_violation_count",
     )
-    header = parameter.ljust(10) + " | " + " | ".join(c.rjust(len(c)) for c in cols)
+    names = [value_name(e.value) for e in entries]
+    width = max([10] + [len(name) for name in names])
+    header = parameter.ljust(width) + " | " + " | ".join(c.rjust(len(c)) for c in cols)
     lines = [header, "-" * len(header)]
-    for e in entries:
+    for name, e in zip(names, entries):
         if not e.ok:
-            lines.append(f"{e.value:<10.6g} | FAILED: {e.error}")
+            lines.append(f"{name:<{width}} | FAILED: {e.error}")
             continue
         s = e.metrics.summary()
         cells = []
@@ -76,5 +83,5 @@ def format_sweep_table(parameter: str, entries) -> str:
             cells.append(
                 (f"{v:.6g}" if isinstance(v, float) else str(v)).rjust(len(c))
             )
-        lines.append(f"{e.value:<10.6g} | " + " | ".join(cells))
+        lines.append(f"{name:<{width}} | " + " | ".join(cells))
     return "\n".join(lines)

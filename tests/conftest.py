@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,8 @@ class RunCache:
     ) -> CachedRun:
         return self._run(
             (lam, mu, k_fb, noise, seed),
-            lambda: reference_scenario(lam, mu, k_fb, init_noise_sigma=noise, rng_seed=seed),
+            lambda: replace(reference_scenario(), init_noise_sigma=noise,
+                            rng_seed=seed).with_gains(lam=lam, mu=mu, k_fb=k_fb),
         )
 
     def bundled(self, name: str, mu: float) -> CachedRun:

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from swarmform import emit_scenario, parse_scenario, reference_scenario
 from swarmform.cli import main
+from swarmform.sweep import PARAM_FIELDS
 
 
 @pytest.fixture()
@@ -45,6 +48,27 @@ def test_run_echoes_resolved_overrides(tmp_path, scenario_file):
     assert echoed.gains.k_fb == 1.5
 
 
+def test_k_is_accepted_as_the_prefix_of_k_fb(tmp_path, scenario_file):
+    echoed = []
+    for spelling in ("--k_fb", "--k"):
+        out = tmp_path / spelling.strip("-")
+        rc = main(["run", "--scenario", str(scenario_file), "--out", str(out),
+                   "--t-final", "0.01", spelling, "1.5"])
+        assert rc == 0
+        echoed.append((out / "scenario.yaml").read_text())
+    assert echoed[0] == echoed[1]
+    assert "k_fb: 1.5" in echoed[0]
+
+
+def test_run_gain_options_are_the_gain_keys(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    options = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+    common = {"--help", "--scenario", "--out", "--seed", "--dt", "--t-final"}
+    assert options - common == {f"--{key}" for key in PARAM_FIELDS}
+
+
 def test_run_is_byte_deterministic(tmp_path, scenario_file):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -72,6 +96,21 @@ def test_sweep_writes_table_and_per_value_runs(tmp_path, scenario_file, capsys):
     table = (out / "sweep_lambda.txt").read_text()
     assert "disagreement_mean" in table
     assert "1" in capsys.readouterr().out
+
+
+def test_sweep_values_that_print_alike_get_their_own_files(tmp_path, scenario_file):
+    out = tmp_path / "sweep"
+    rc = main([
+        "sweep", "--scenario", str(scenario_file), "--out", str(out),
+        "--param", "mu", "--values", "0.10000000001,0.10000000002", "--t-final", "0.01",
+    ])
+    assert rc == 0
+    for name in ("0.10000000001", "0.10000000002"):
+        assert (out / f"trajectory_mu_{name}.csv").exists()
+        assert (out / f"metrics_mu_{name}.txt").exists()
+    lines = (out / "sweep_mu.txt").read_text().splitlines()
+    assert [row.split()[0] for row in lines[2:]] == ["0.10000000001", "0.10000000002"]
+    assert len({row.index("|") for row in (lines[0], *lines[2:])}) == 1
 
 
 def test_bench_prints_and_writes_table(tmp_path, scenario_file, capsys):
@@ -131,6 +170,7 @@ def test_rejected_override_is_reported_without_traceback(tmp_path, scenario_file
         (["sweep", "--out", "x", "--param", "mu", "--values", ""], "--values"),
         (["sweep", "--out", "x", "--param", "mu", "--values", " , "], "--values"),
         (["sweep", "--out", "x", "--param", "k", "--values", "1"], "--param"),
+        (["sweep", "--out", "x", "--param", "mu", "--values", "1,1.0"], "--values"),
     ],
 )
 def test_bad_counts_and_values_are_rejected_by_the_parser(scenario_file, capsys, argv, name):

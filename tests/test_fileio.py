@@ -8,6 +8,7 @@ import pytest
 from swarmform import (
     CSV_HEADER,
     BaseConfiguration,
+    NOISE_SIGMA,
     FormationParams,
     ParseError,
     PlannerGains,
@@ -133,7 +134,7 @@ class TestParseScenario:
         assert sc.gains_for(1).mu == 0.0
 
     def test_round_trip_identity(self, tmp_path):
-        sc = reference_scenario(init_noise_sigma=math.sqrt(0.5), rng_seed=11)
+        sc = replace(reference_scenario(), init_noise_sigma=math.sqrt(0.5), rng_seed=11)
         path = tmp_path / "ref.yaml"
         emit_scenario(sc, path)
         assert parse_scenario(path) == sc
@@ -147,6 +148,26 @@ class TestParseScenario:
         emit_scenario(sc, out)
         assert out.read_text() == path.read_text()
         assert parse_scenario(out) == sc
+
+    def test_bundled_reference_files_are_the_preset(self):
+        # The acceptance suite runs the preset; the CLI and the benchmark run the files.
+        assert parse_scenario(SCENARIOS / "reference.yaml") == reference_scenario()
+        assert parse_scenario(SCENARIOS / "reference_noisy.yaml") == replace(
+            reference_scenario(), init_noise_sigma=NOISE_SIGMA
+        )
+
+    @pytest.mark.parametrize(
+        "old, new, key, line",
+        [("dt: 0.001\n", "dt: 0.001\ndt: 0.002\n", "dt", 23),
+         ("mu: 20.0", "mu: 20.0, mu: 1.0", "mu", 18)],
+        ids=["top_level", "in_gains"],
+    )
+    def test_duplicate_key_is_rejected(self, tmp_path, old, new, key, line):
+        text = (SCENARIOS / "reference.yaml").read_text()
+        path = tmp_path / "dup.yaml"
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ParseError, match=f"duplicate key '{key}' at line {line}"):
+            parse_scenario(path)
 
     def test_round_trip_per_robot_gains(self, tmp_path):
         per_robot = tuple(

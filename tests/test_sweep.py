@@ -32,7 +32,7 @@ class TestSweep:
         assert entries[2].ok
 
     def test_k_alias(self, short_scenario):
-        # "k" is the CLI's run option, not a gain name; the gain is "k_fb".
+        # "k" is no gain name (run takes it only as a prefix of --k_fb).
         with pytest.raises(ValueError):
             sweep(short_scenario, "k", [0.0])
         assert sweep(short_scenario, "k_fb", [0.0])[0].ok
