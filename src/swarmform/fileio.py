@@ -8,7 +8,9 @@ The schema comes from the dataclasses: a record's keys are its fields
 takes the default that `Scenario` and the record classes define, an
 omitted `eta_goal` field the identity's.  The resolved scenario can be
 written back out (`emit_scenario`) so a run's effective configuration is
-always on disk.
+always on disk.  Both directions go through PyYAML's libyaml classes
+when PyYAML was built with libyaml, and through its pure-Python classes
+otherwise: the same results and bytes, picked once at import.
 """
 
 from __future__ import annotations
@@ -42,8 +44,13 @@ class ValidationError(ValueError):
     """The scenario file is well-formed but violates a value invariant."""
 
 
-class _StrictLoader(yaml.SafeLoader):
-    """`yaml.SafeLoader` that rejects a key given twice in one mapping."""
+# libyaml when PyYAML has it; the pure-Python classes only as the fallback.
+_LOADER, _DUMPER = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
+                    else (yaml.SafeLoader, yaml.SafeDumper))
+
+
+class _UniqueKeys:
+    """Loader mixin that rejects a key given twice in one mapping."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -54,6 +61,10 @@ class _StrictLoader(yaml.SafeLoader):
                     raise ParseError(f"duplicate key '{key.value}' at line {line}")
                 seen.add(key.value)
         return super().construct_mapping(node, deep=deep)
+
+
+class _StrictLoader(_UniqueKeys, _LOADER):
+    """The safe loader of the chosen backend, with unique keys."""
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -196,7 +207,8 @@ def parse_scenario(path) -> Scenario:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         location = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ParseError(f"invalid YAML in {path}{location}: {exc}") from exc
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ParseError(f"invalid YAML in {path}{location}: {problem}") from exc
     if data is None:
         raise ParseError(f"scenario file {path} is empty")
     return scenario_from_dict(data)
@@ -204,8 +216,8 @@ def parse_scenario(path) -> Scenario:
 
 def emit_scenario(scenario: Scenario, path) -> None:
     """Write the fully-resolved scenario as YAML; parse_scenario inverts it."""
-    text = yaml.safe_dump(
-        scenario_to_dict(scenario), sort_keys=False, default_flow_style=None
+    text = yaml.dump(
+        scenario_to_dict(scenario), Dumper=_DUMPER, sort_keys=False, default_flow_style=None
     )
     Path(path).write_text(text)
 

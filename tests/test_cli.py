@@ -138,6 +138,7 @@ def _assert_reported(rc, capsys, *names):
     assert "Traceback" not in err
     for name in names:
         assert name in err
+    return err
 
 
 def test_unknown_key_is_reported_without_traceback(tmp_path, scenario_file, capsys):
@@ -151,6 +152,16 @@ def test_missing_file_is_reported_without_traceback(tmp_path, capsys):
     path = tmp_path / "missing.yaml"
     rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
     _assert_reported(rc, capsys, "missing.yaml")
+
+
+def test_yaml_syntax_error_is_one_line(tmp_path, capsys):
+    # An unclosed flow sequence; PyYAML's own message for it spans 7 lines.
+    path = tmp_path / "bad.yaml"
+    path.write_text("base: [[0, 0]\n  broken")
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    err = _assert_reported(rc, capsys, "bad.yaml")
+    assert err.count("\n") == 1
+    assert "invalid YAML in" in err and "at line 2: " in err
 
 
 def test_rejected_override_is_reported_without_traceback(tmp_path, scenario_file, capsys):

@@ -1,15 +1,22 @@
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmform import (
     CSV_HEADER,
+    ApfGains,
     BaseConfiguration,
     NOISE_SIGMA,
     FormationParams,
+    Obstacle,
     ParseError,
     PlannerGains,
     Scenario,
@@ -23,6 +30,7 @@ from swarmform import (
     run,
     scenario_from_dict,
 )
+from swarmform import fileio
 from swarmform.fileio import _TOP_KEYS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -96,10 +104,25 @@ class TestParseScenario:
             scenario_from_dict({"base": [[0.0, 0.0]]})
 
     def test_malformed_yaml_reports_line(self, tmp_path):
+        # An unclosed flow sequence: PyYAML's own message for it spans 7
+        # lines. The problem's wording follows the backend; the form does not.
         path = tmp_path / "s.yaml"
         path.write_text("base: [[0, 0]\n  broken")
-        with pytest.raises(ParseError, match="line"):
+        with pytest.raises(ParseError) as exc_info:
             parse_scenario(path)
+        message = str(exc_info.value)
+        assert re.fullmatch(f"invalid YAML in {re.escape(str(path))} at line 2: .+", message)
+        assert "\n" not in message
+
+    def test_unreadable_character_is_one_line(self, tmp_path):
+        # The reader's error carries no line and no `problem`, and its own
+        # text spans two lines.
+        path = tmp_path / "s.yaml"
+        path.write_text("base: \x07\n")
+        with pytest.raises(ParseError) as exc_info:
+            parse_scenario(path)
+        assert re.fullmatch(f"invalid YAML in {re.escape(str(path))}: "
+                            "unacceptable character #x0007: .+", str(exc_info.value))
 
     def test_wrong_types_rejected(self):
         with pytest.raises(ParseError):
@@ -177,6 +200,75 @@ class TestParseScenario:
         path = tmp_path / "pr.yaml"
         emit_scenario(sc, path)
         assert parse_scenario(path) == sc
+
+
+# The strict loader on PyYAML's pure-Python classes: fileio's fallback for a
+# PyYAML built without libyaml, with the same duplicate-key logic.
+_PURE_LOADER = type("_PureStrictLoader", (fileio._UniqueKeys, yaml.SafeLoader), {})
+
+
+class TestPureYamlBackend:
+    """The backend-sensitive codec tests again, on the pure-Python classes."""
+
+    @pytest.fixture(autouse=True)
+    def _pure_classes(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_StrictLoader", _PURE_LOADER)
+        monkeypatch.setattr(fileio, "_DUMPER", yaml.SafeDumper)
+
+    test_round_trip_identity = TestParseScenario.test_round_trip_identity
+    test_bundled_scenario_round_trip = TestParseScenario.test_bundled_scenario_round_trip
+    test_duplicate_key_is_rejected = TestParseScenario.test_duplicate_key_is_rejected
+    test_malformed_yaml_reports_line = TestParseScenario.test_malformed_yaml_reports_line
+    test_unreadable_character_is_one_line = TestParseScenario.test_unreadable_character_is_one_line
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)  # every exponent, subnormals too
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_GAINS = st.builds(PlannerGains, lam=_NON_NEGATIVE, mu=_NON_NEGATIVE, k_fb=_NON_NEGATIVE)
+
+
+@st.composite
+def _scenarios(draw):
+    slots = draw(st.lists(st.tuples(_FLOATS, _FLOATS), min_size=1, max_size=40))
+    dt = draw(_POSITIVE)
+    return Scenario(
+        base=BaseConfiguration(tuple(slots)),
+        eta_goal=FormationParams(draw(_FLOATS), draw(_POSITIVE), draw(_POSITIVE),
+                                 draw(_FLOATS), draw(_FLOATS)),
+        obstacles=draw(st.lists(st.builds(Obstacle, st.tuples(_FLOATS, _FLOATS),
+                                          _NON_NEGATIVE), max_size=3)),
+        gains=draw(st.one_of(_GAINS, st.tuples(*[_GAINS] * len(slots)))),
+        apf=draw(st.builds(ApfGains, *[_POSITIVE] * 5)),
+        r_c=draw(st.one_of(st.just(math.inf), _POSITIVE)),
+        dt=dt,
+        t_final=draw(st.floats(min_value=dt, allow_infinity=False)),
+        init_noise_sigma=draw(_NON_NEGATIVE),
+        rng_seed=draw(st.integers(min_value=0, max_value=2**64)),
+    )
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+class TestLibyamlBackend:
+    def test_libyaml_is_the_default(self):
+        assert issubclass(fileio._StrictLoader, yaml.CSafeLoader)
+        assert fileio._DUMPER is yaml.CSafeDumper
+
+    @settings(max_examples=100, deadline=None)
+    @given(sc=_scenarios())
+    def test_both_backends_emit_and_parse_alike(self, sc, tmp_path_factory):
+        path = tmp_path_factory.mktemp("backends") / "s.yaml"
+        emitted = []
+        for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
+            with patch.object(fileio, "_DUMPER", dumper):
+                emit_scenario(sc, path)
+            emitted.append(path.read_bytes())
+        assert emitted[0] == emitted[1]
+        parsed = []
+        for loader in (_PURE_LOADER, fileio._StrictLoader):
+            with patch.object(fileio, "_StrictLoader", loader):
+                parsed.append(parse_scenario(path))
+        assert parsed[0] == parsed[1] == sc
 
 
 class TestSchema:
