@@ -15,7 +15,6 @@ otherwise: the same results and bytes, picked once at import.
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -28,9 +27,8 @@ from .transform import BaseConfiguration, FormationParams
 
 CSV_HEADER = "t,robot,px,py,vx,vy,phi,sx,sy,tx,ty,a_s,neighbors"
 
-# Scenario's fields in file order, which lists eta_init before eta_goal.
-_TOP_KEYS = ("base", "eta_init", "eta_goal", "obstacles", "gains", "apf", "constraints",
-             "r_c", "dt", "t_final", "init_noise_sigma", "rng_seed")
+# The top-level keys, in file order: Scenario's fields.
+_TOP_KEYS = tuple(f.name for f in fields(Scenario))
 # File keys of the record fields whose key is not their field name.
 FILE_KEYS = {"lam": "lambda"}
 
@@ -201,9 +199,9 @@ def parse_scenario(path) -> Scenario:
     when the YAML parser provides it) and :class:`ValidationError` when a
     value violates an invariant.
     """
-    text = Path(path).read_text()
+    raw = Path(path).read_bytes()  # as bytes, a non-UTF-8 byte is a YAMLError
     try:
-        data = yaml.load(text, Loader=_StrictLoader)
+        data = yaml.load(raw, Loader=_StrictLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         location = f" at line {mark.line + 1}" if mark is not None else ""
@@ -245,10 +243,7 @@ def format_metrics_summary(metrics: RunMetrics) -> str:
     lines = []
     for key, value in metrics.summary().items():
         if isinstance(value, float):
-            if math.isinf(value):
-                lines.append(f"{key}: inf")
-            else:
-                lines.append(f"{key}: {value:.12g}")
+            lines.append(f"{key}: {value:.12g}")
         else:
             lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"

@@ -38,8 +38,9 @@ from .transform import (
 # benchmark (perfbench/tracing.py) rebinds it here and requires it present.
 from .apf import desired_velocity  # noqa: F401
 
-# Tolerance used when counting hard-set violations in the metrics.
-HARD_VIOLATION_TOL = 1e-6
+# (tick, robot, robot) entries per block of ticks in compute_metrics, which
+# bound its temporaries.
+_BLOCK_PAIRS = 100_000
 
 
 class ConsensusStabilityWarning(UserWarning):
@@ -47,9 +48,9 @@ class ConsensusStabilityWarning(UserWarning):
     the consensus iteration stops being stable."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """Complete description of one experiment.
+    """Complete description of one experiment, its fields in file order.
 
     `gains` is either one PlannerGains shared by all robots or a tuple with
     one entry per robot.  `init_noise_sigma` is the standard deviation (in
@@ -59,8 +60,8 @@ class Scenario:
     """
 
     base: BaseConfiguration
-    eta_goal: FormationParams
     eta_init: FormationParams = field(default_factory=FormationParams.identity)
+    eta_goal: FormationParams
     obstacles: tuple[Obstacle, ...] = ()
     gains: PlannerGains | tuple[PlannerGains, ...] = PlannerGains(32.0, 20.0, 2.0)
     apf: ApfGains = ApfGains()
@@ -171,9 +172,10 @@ class RunMetrics:
 
     The first three fields are per-tick series; the rest are run-level
     scalars.  `hard_violation_count` counts ticks on which any robot's
-    scaling left the hard set beyond tolerance — it must be zero in every
-    passing run.  `consensus_step_max` is the largest dt * lam_i * deg_i
-    over ticks and robots; explicit-Euler consensus is stable below 1.
+    scaling left the hard set by more than `MEMBERSHIP_TOL`, the planner's
+    own tolerance — it must be zero in every passing run.
+    `consensus_step_max` is the largest dt * lam_i * deg_i over ticks and
+    robots; explicit-Euler consensus is stable below 1.
     """
 
     times: np.ndarray
@@ -304,23 +306,31 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
 
 
 def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
-    """Derive the run metrics from a trajectory log, in blocks of ticks so that
-    its temporaries stay small.  Deterministic, whatever the block size."""
-    if log.n_ticks == 0:
+    """Derive the run metrics from a trajectory log in one pass over blocks of
+    ticks, each of about `_BLOCK_PAIRS` (tick, robot, robot) entries, so that
+    its temporaries stay small.  Deterministic, whatever the block size.
+
+    A tick counts as a hard-set violation when some robot's scaling lies
+    outside the hard set by more than `MEMBERSHIP_TOL`, the slack that the
+    planner's own membership check allows.
+    """
+    t, n = log.n_ticks, log.n_robots
+    if t == 0:
         raise ValueError("cannot compute metrics from an empty log")
     spec = scenario.constraints
     slots = scenario.base.as_array()[None, :, :]
     centers, radii = obstacle_arrays(scenario.obstacles)
-    tol = HARD_VIOLATION_TOL
+    tol = MEMBERSHIP_TOL
+    off_diagonal = ~np.eye(n, dtype=bool)
 
-    formation_error = np.empty(log.n_ticks)
-    disagreement = np.empty(log.n_ticks)
-    soft_dist = np.empty(log.n_ticks)
+    formation_error = np.empty(t)
+    disagreement = np.empty(t)
+    soft_dist = np.empty(t)
     hard_violation_count = 0
-    min_obstacle_clearance = math.inf
-    chunk = max(1, _ENTRY_CHUNK // log.n_robots)
-    for start in range(0, log.n_ticks, chunk):
-        block = slice(start, start + chunk)
+    min_obstacle_clearance = min_d2 = math.inf
+    ticks = max(1, _BLOCK_PAIRS // (n * n))
+    for start in range(0, t, ticks):
+        block = slice(start, start + ticks)
         etas = log.etas[block]
         positions = log.positions[block]
         slot_pos = apply_transform_many(etas, slots)
@@ -338,10 +348,16 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
             | (np.hypot(sx, sy) > spec.r_hard + tol)
         )
         hard_violation_count += int(np.count_nonzero(violating.any(axis=1)))
-        clearance = _min_obstacle_clearance(positions, centers, radii)
-        min_obstacle_clearance = min(min_obstacle_clearance, clearance)
 
-    min_robot_distance = _min_pairwise_distance(log.positions)
+        gap = np.linalg.norm(positions[:, :, None, :] - centers, axis=-1) - radii
+        min_obstacle_clearance = min(min_obstacle_clearance,
+                                     float(np.min(gap, initial=math.inf)))
+
+        d = positions[:, :, None, 0] - positions[:, None, :, 0]
+        d2 = d * d
+        d = positions[:, :, None, 1] - positions[:, None, :, 1]
+        d2 += d * d
+        min_d2 = min(min_d2, float(np.min(d2, where=off_diagonal, initial=math.inf)))
 
     # The rotation is compared modulo a full turn: wrapped to (-pi, pi].
     delta = log.etas[-1].mean(axis=0) - scenario.eta_goal.as_array()
@@ -363,7 +379,7 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
         formation_error=formation_error,
         disagreement=disagreement,
         soft_set_distance=soft_dist,
-        min_robot_distance=min_robot_distance,
+        min_robot_distance=math.sqrt(min_d2),
         min_obstacle_clearance=min_obstacle_clearance,
         hard_violation_count=hard_violation_count,
         goal_param_error=goal_param_error,
@@ -387,34 +403,3 @@ def _soft_distance_series(etas: np.ndarray, spec: ConstraintSpec) -> np.ndarray:
     for k, i in zip(*np.nonzero(outside)):
         dist[k, i] = soft_set_distance(sx[k, i], sy[k, i], spec)
     return dist.max(axis=1)
-
-
-# Entries per block of ticks, which bound the metrics' temporaries: (tick, robot)
-# in compute_metrics, (tick, robot, robot) pairs in _min_pairwise_distance.
-_ENTRY_CHUNK = 10_000
-_PAIR_CHUNK = 200_000
-
-
-def _min_pairwise_distance(positions: np.ndarray) -> float:
-    t, n = positions.shape[:2]
-    if n < 2:
-        return math.inf
-    off_diagonal = ~np.eye(n, dtype=bool)
-    chunk = max(1, _PAIR_CHUNK // (n * n))
-    best = math.inf
-    for start in range(0, t, chunk):
-        block = positions[start : start + chunk]
-        d = block[:, :, None, 0] - block[:, None, :, 0]
-        d2 = d * d
-        d = block[:, :, None, 1] - block[:, None, :, 1]
-        d2 += d * d
-        best = min(best, float(np.min(d2, where=off_diagonal, initial=math.inf)))
-    return math.sqrt(best)
-
-
-def _min_obstacle_clearance(positions: np.ndarray, centers, radii) -> float:
-    if not len(radii):
-        return math.inf
-    diff = positions[:, :, None, :] - centers[None, None, :, :]
-    dist = np.linalg.norm(diff, axis=-1) - radii[None, None, :]
-    return float(dist.min())

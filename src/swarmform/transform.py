@@ -67,9 +67,10 @@ class FormationParams:
 class ParamDerivative:
     """Time derivative of a parameter vector, same (phi, s, t) ordering.
 
-    The planner stages pass rates as plain float 5-tuples instead, so a tick
-    builds no per-stage objects; this stays as the checked, named form of a
-    rate for code outside the tick: `ParamDerivative(*rate)`.
+    Nothing in the package builds one: the planner stages pass rates as
+    plain float 5-tuples.  The class stays only because the benchmark's
+    tracer counts its constructions (`perfbench/tracing.py`,
+    `VALUE_OBJECTS`), so it keeps just its fields and finiteness check.
     """
 
     d_phi: float
@@ -82,23 +83,6 @@ class ParamDerivative:
         if not (isfinite(self.d_phi) and isfinite(self.d_sx) and isfinite(self.d_sy)
                 and isfinite(self.d_tx) and isfinite(self.d_ty)):
             raise ValueError("parameter derivative components must be finite")
-
-    def __add__(self, other: "ParamDerivative") -> "ParamDerivative":
-        return ParamDerivative(
-            self.d_phi + other.d_phi,
-            self.d_sx + other.d_sx,
-            self.d_sy + other.d_sy,
-            self.d_tx + other.d_tx,
-            self.d_ty + other.d_ty,
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d_phi, self.d_sx, self.d_sy, self.d_tx, self.d_ty])
-
-    @classmethod
-    def from_array(cls, arr) -> "ParamDerivative":
-        a, b, c, d, e = (float(x) for x in arr)
-        return cls(a, b, c, d, e)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,14 @@ import re
 
 import pytest
 
-from swarmform import emit_scenario, parse_scenario, reference_scenario
+from swarmform import (
+    BaseConfiguration,
+    FormationParams,
+    Scenario,
+    emit_scenario,
+    parse_scenario,
+    reference_scenario,
+)
 from swarmform.cli import main
 from swarmform.sweep import PARAM_FIELDS
 
@@ -162,6 +169,27 @@ def test_yaml_syntax_error_is_one_line(tmp_path, capsys):
     err = _assert_reported(rc, capsys, "bad.yaml")
     assert err.count("\n") == 1
     assert "invalid YAML in" in err and "at line 2: " in err
+
+
+def test_byte_that_is_not_utf8_is_one_line(tmp_path, scenario_file, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(scenario_file.read_bytes().replace(b"eta_goal:", b"eta_goal: \xff", 1))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    err = _assert_reported(rc, capsys, "latin1.yaml")
+    assert err.count("\n") == 1
+    assert "invalid YAML in" in err and "unacceptable character #x00ff: " in err
+
+
+def test_one_robot_run_reports_infinite_distances(tmp_path, capsys):
+    # No second robot and no obstacle: both minima are taken over nothing.
+    path = tmp_path / "one.yaml"
+    emit_scenario(Scenario(base=BaseConfiguration(((0.0, 0.0),)),
+                           eta_goal=FormationParams.identity(), t_final=0.01), path)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    lines = (out / "metrics.txt").read_text().splitlines()
+    assert "min_robot_distance: inf" in lines
+    assert "min_obstacle_clearance: inf" in lines
 
 
 def test_rejected_override_is_reported_without_traceback(tmp_path, scenario_file, capsys):

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -124,6 +124,14 @@ class TestParseScenario:
         assert re.fullmatch(f"invalid YAML in {re.escape(str(path))}: "
                             "unacceptable character #x0007: .+", str(exc_info.value))
 
+    def test_byte_that_is_not_utf8_is_one_line(self, tmp_path):
+        path = tmp_path / "s.yaml"
+        path.write_bytes(MINIMAL.replace("phi: 0.0", "phi: \xff").encode("latin-1"))
+        with pytest.raises(ParseError) as exc_info:
+            parse_scenario(path)
+        assert re.fullmatch(f"invalid YAML in {re.escape(str(path))}: "
+                            "unacceptable character #x00ff: .+", str(exc_info.value))
+
     def test_wrong_types_rejected(self):
         with pytest.raises(ParseError):
             scenario_from_dict({"base": [[0.0, 0.0]], "eta_goal": {"phi": "north"}})
@@ -220,6 +228,7 @@ class TestPureYamlBackend:
     test_duplicate_key_is_rejected = TestParseScenario.test_duplicate_key_is_rejected
     test_malformed_yaml_reports_line = TestParseScenario.test_malformed_yaml_reports_line
     test_unreadable_character_is_one_line = TestParseScenario.test_unreadable_character_is_one_line
+    test_byte_that_is_not_utf8_is_one_line = TestParseScenario.test_byte_that_is_not_utf8_is_one_line
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)  # every exponent, subnormals too
@@ -275,8 +284,10 @@ class TestSchema:
     """The codec reads its keys and defaults off the dataclasses."""
 
     def test_top_level_keys_are_the_scenario_fields(self):
-        assert len(_TOP_KEYS) == 12
-        assert set(_TOP_KEYS) == {f.name for f in fields(Scenario)}
+        # Scenario's fields, declared in the order that files list them.
+        assert _TOP_KEYS == ("base", "eta_init", "eta_goal", "obstacles", "gains", "apf",
+                             "constraints", "r_c", "dt", "t_final", "init_noise_sigma",
+                             "rng_seed")
 
     def test_partial_records_keep_their_other_defaults(self):
         default = Scenario(base=BaseConfiguration(((0.0, 0.0),)),

@@ -264,9 +264,23 @@ class TestComputeMetrics:
         log = self._log_for([[eta]], [[(0.0, 0.0)]])
         assert compute_metrics(log, sc).goal_param_error == pytest.approx(expected, abs=1e-12)
 
+    def test_hard_violation_tolerance_is_the_planners(self):
+        # Outside by 1e-10 is inside the planner's MEMBERSHIP_TOL (1e-9);
+        # outside by 1e-7, at a wall or past the circle, is a violation.
+        spec = ConstraintSpec()
+        sc = Scenario(base=BaseConfiguration(((0.0, 0.0),)),
+                      eta_goal=FormationParams.identity(), constraints=spec)
+        on_arc = (spec.r_hard + 1e-7) / math.sqrt(2.0)
+        scalings = [(1.0, 1.0), (spec.eps_hard - 1e-10, 1.0),
+                    (spec.eps_hard - 1e-7, 1.0), (on_arc, on_arc)]
+        etas = [[FormationParams(0.0, sx, sy, 0.0, 0.0).as_array()] for sx, sy in scalings]
+        log = self._log_for(etas, [[(0.0, 0.0)]] * len(etas))
+        assert 1e-7 > MEMBERSHIP_TOL
+        assert compute_metrics(log, sc).hard_violation_count == 2
+
     @pytest.mark.parametrize("t, n", [(3, 1), (5, 2), (7, 3), (41, 100)])
     def test_min_robot_distance_matches_brute_force(self, t, n):
-        # (41, 100) spans three blocks of 20 ticks, the last one partial.
+        # (41, 100) spans five blocks of 10 ticks, the last one partial.
         rng = np.random.default_rng(t * 1000 + n)
         positions = rng.uniform(-20.0, 20.0, (t, n, 2))
         best = math.inf
@@ -276,11 +290,14 @@ class TestComputeMetrics:
                     dx = frame[i][0] - frame[j][0]
                     dy = frame[i][1] - frame[j][1]
                     best = min(best, dx * dx + dy * dy)
-        got = swarmform.simulator._min_pairwise_distance(positions)
+        sc = Scenario(base=BaseConfiguration(tuple(map(tuple, positions[0]))),
+                      eta_goal=FormationParams.identity())
+        etas = np.broadcast_to(FormationParams.identity().as_array(), (t, n, 5))
+        got = compute_metrics(self._log_for(etas, positions), sc).min_robot_distance
         assert got == math.sqrt(best)
 
-    @pytest.mark.parametrize("entries", [1, 7 * 5])
-    def test_blocks_of_ticks_change_no_field(self, monkeypatch, entries):
+    @pytest.mark.parametrize("ticks", [1, 5])
+    def test_blocks_of_ticks_change_no_field(self, monkeypatch, ticks):
         # 53 ticks of 7 robots in one block, against one tick per block or
         # ten blocks of 5 ticks and a partial one; scalings inside and
         # outside both constraint sets.
@@ -297,9 +314,9 @@ class TestComputeMetrics:
                 Obstacle(center=(-2.0, 0.0), radius=1.0),
             ),
         )
-        monkeypatch.setattr(swarmform.simulator, "_ENTRY_CHUNK", t * n)
+        monkeypatch.setattr(swarmform.simulator, "_BLOCK_PAIRS", t * n * n)
         whole = compute_metrics(log, sc)
-        monkeypatch.setattr(swarmform.simulator, "_ENTRY_CHUNK", entries)
+        monkeypatch.setattr(swarmform.simulator, "_BLOCK_PAIRS", ticks * n * n)
         blocked = compute_metrics(log, sc)
         assert whole.hard_violation_count > 0
         assert whole.soft_set_distance.max() > 0.0

@@ -202,13 +202,6 @@ class TestTypes:
     def test_array_round_trip(self):
         eta = FormationParams(0.3, 1.2, 0.8, -4.0, 2.0)
         assert FormationParams.from_array(eta.as_array()) == eta
-        d = ParamDerivative(0.1, -0.2, 0.3, -0.4, 0.5)
-        assert ParamDerivative.from_array(d.as_array()) == d
-
-    def test_derivative_addition(self):
-        a = ParamDerivative(1.0, 2.0, 3.0, 4.0, 5.0)
-        b = ParamDerivative(0.5, 0.5, 0.5, 0.5, 0.5)
-        assert (a + b).as_array() == pytest.approx([1.5, 2.5, 3.5, 4.5, 5.5])
 
     def test_base_configuration_validation(self):
         with pytest.raises(ValueError):
