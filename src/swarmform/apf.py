@@ -108,7 +108,7 @@ def _repulsion(surface: np.ndarray, away: np.ndarray, gains: ApfGains) -> np.nda
             PenetrationWarning,
             stacklevel=3,
         )
-    d = np.where(d < REPULSION_FLOOR, REPULSION_FLOOR, d)
+    d = np.maximum(d, REPULSION_FLOOR)
     active = d < gains.nu
     mag = gains.k_rep * (1.0 / d - 1.0 / gains.nu)
     return np.where(active[:, None], mag[:, None] * away, 0.0)

@@ -8,13 +8,17 @@ upper radius.  A preferred (soft) set of that shape is enforced by a penalty
 pull toward its Euclidean projection; a mandatory (hard) set of the same
 shape is enforced by scaling the derivative so that no step can leave it.
 
-All functions are pure and thread-safe.
+The planner's path takes one robot's floats; `in_hard_set` and
+`soft_set_distance` also judge whole logs elementwise, with the planner's
+own decisions.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 # Relative slack on the squared-norm test of the disk membership check.
 # Keeps the projection exactly idempotent in floating point: every output
@@ -65,12 +69,11 @@ class ConstraintSpec:
         """Coordinate where the soft arc meets a wall: sqrt(r_soft^2 - eps_soft^2)."""
         return math.sqrt(self.r_soft**2 - self.eps_soft**2)
 
-    def in_hard_set(self, sx: float, sy: float, tol: float = 0.0) -> bool:
-        return (
-            sx >= self.eps_hard - tol
-            and sy >= self.eps_hard - tol
-            and math.hypot(sx, sy) <= self.r_hard + tol
-        )
+    def in_hard_set(self, sx, sy, tol: float = 0.0):
+        """Membership in the hard set grown by `tol`, elementwise; squared disk test."""
+        e = self.eps_hard - tol
+        r = self.r_hard + tol
+        return (sx >= e) & (sy >= e) & (sx * sx + sy * sy <= r * r)
 
 
 def project_scaling(sx: float, sy: float, spec: ConstraintSpec) -> tuple[float, float]:
@@ -98,10 +101,28 @@ def project_scaling(sx: float, sy: float, spec: ConstraintSpec) -> tuple[float, 
     return (ux, uy)
 
 
-def soft_set_distance(sx: float, sy: float, spec: ConstraintSpec) -> float:
-    """Euclidean distance from a scaling vector to the soft set (0 inside)."""
-    px, py = project_scaling(sx, sy, spec)
-    return math.hypot(sx - px, sy - py)
+def soft_set_distance(sx, sy, spec: ConstraintSpec):
+    """Euclidean distance from scaling vectors to the soft set (0 inside).
+
+    Elementwise on floats or arrays, with `project_scaling`'s branches bit
+    for bit.  Measured with `math.hypot` (`np.hypot` can differ in the last
+    bit), and only on the entries the projection moved.
+    """
+    sx, sy = np.asarray(sx, float), np.asarray(sy, float)
+    eps, r, delta = spec.eps_soft, spec.r_soft, spec.delta_soft
+    x, y = np.maximum(sx, eps), np.maximum(sy, eps)
+    nn = x * x + y * y
+    outside = nn > r * r * (1.0 + _DISK_BAND)
+    f = np.where(outside, r / np.sqrt(nn), 1.0)
+    px, py = x * f, y * f
+    snap_x = outside & (px <= eps)
+    snap_y = outside & ~snap_x & (py <= eps)
+    dx = sx - np.where(snap_x, eps, np.where(snap_y, delta, px))
+    dy = sy - np.where(snap_x, delta, np.where(snap_y, eps, py))
+    moved = (dx != 0.0) | (dy != 0.0)
+    dist = np.zeros(moved.shape)
+    dist[moved] = np.frompyfunc(math.hypot, 2, 1)(dx[moved], dy[moved])
+    return dist[()]
 
 
 def hard_scale_factor(s, ds, spec: ConstraintSpec) -> float:

@@ -7,9 +7,10 @@ toward the soft scaling set, scale the rate so the Euler step cannot leave
 the hard scaling set, then map the rate back to a velocity with a feedback
 term that returns the robot to its slot after perturbations.
 
-The stages pass rates as float 5-tuples (d_phi, d_sx, d_sy, d_tx, d_ty); the
-one array a tick builds is v_cmd, and its one value object the next
-FormationParams, whose finiteness check also covers every rate component.
+The stages pass rates as float 5-tuples (d_phi, d_sx, d_sy, d_tx, d_ty) and
+the command as a float pair; a tick builds no array, and its one value
+object is the next FormationParams, whose finiteness check also covers every
+rate component.
 
 plan_tick is a pure function of the robot's own state, its desired velocity,
 its own position, and the parameter vectors received from neighbours; no
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .constraints import ConstraintSpec, hard_scale_factor, project_scaling
 from .transform import FormationParams, apply_transform, jacobian, pseudo_inverse
@@ -73,11 +72,12 @@ class PlannerState:
 class TickResult:
     """Output of one planner tick.
 
-    `v_cmd` is a numpy 2-vector; `a_s` the hard-constraint derivative scale
-    actually applied, kept for trajectory logging.
+    `v_cmd` is the (vx, vy) pair of `recover_velocity`; `a_s` the
+    hard-constraint derivative scale actually applied, kept for trajectory
+    logging.
     """
 
-    v_cmd: np.ndarray
+    v_cmd: tuple[float, float]
     eta_next: FormationParams
     a_s: float
 
@@ -203,5 +203,5 @@ def plan_tick(
         eta.phi + dt * d_phi, eta.sx + dt * d_sx, eta.sy + dt * d_sy,
         eta.tx + dt * d_tx, eta.ty + dt * d_ty,
     )
-    v_cmd = np.array(recover_velocity(state, d_eta, (px, py)))
+    v_cmd = recover_velocity(state, d_eta, (px, py))
     return TickResult(v_cmd=v_cmd, eta_next=eta_next, a_s=a_s)

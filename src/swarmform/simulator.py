@@ -44,8 +44,9 @@ _BLOCK_PAIRS = 100_000
 
 
 class ConsensusStabilityWarning(UserWarning):
-    """A run's explicit-Euler consensus step dt * lam * deg reached 1, where
-    the consensus iteration stops being stable."""
+    """A run's explicit-Euler consensus step dt * lam * deg reached 1: an
+    update is no longer a convex combination, so the parameter spread may
+    grow.  The iteration diverges only once dt * lam * lambda_max(L) > 2."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -171,11 +172,12 @@ class RunMetrics:
     """Quantitative summary of one run.
 
     The first three fields are per-tick series; the rest are run-level
-    scalars.  `hard_violation_count` counts ticks on which any robot's
-    scaling left the hard set by more than `MEMBERSHIP_TOL`, the planner's
-    own tolerance — it must be zero in every passing run.
+    scalars.  `hard_violation_count` counts ticks on which some robot's
+    scaling fails `ConstraintSpec.in_hard_set` with `MEMBERSHIP_TOL`, the
+    planner's own predicate — it must be zero in every passing run.
     `consensus_step_max` is the largest dt * lam_i * deg_i over ticks and
-    robots; explicit-Euler consensus is stable below 1.
+    robots; below 1 each consensus update is a convex combination, so the
+    parameter spread cannot grow (divergence needs dt * lam * lambda_max(L) > 2).
     """
 
     times: np.ndarray
@@ -310,9 +312,9 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
     ticks, each of about `_BLOCK_PAIRS` (tick, robot, robot) entries, so that
     its temporaries stay small.  Deterministic, whatever the block size.
 
-    A tick counts as a hard-set violation when some robot's scaling lies
-    outside the hard set by more than `MEMBERSHIP_TOL`, the slack that the
-    planner's own membership check allows.
+    A tick counts as a hard-set violation when some robot's scaling fails
+    `ConstraintSpec.in_hard_set` with `MEMBERSHIP_TOL`, the planner's own
+    predicate.
     """
     t, n = log.n_ticks, log.n_robots
     if t == 0:
@@ -320,7 +322,6 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
     spec = scenario.constraints
     slots = scenario.base.as_array()[None, :, :]
     centers, radii = obstacle_arrays(scenario.obstacles)
-    tol = MEMBERSHIP_TOL
     off_diagonal = ~np.eye(n, dtype=bool)
 
     formation_error = np.empty(t)
@@ -338,16 +339,10 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
         formation_error[block] = err.max(axis=1)
         spread = etas.max(axis=1) - etas.min(axis=1)
         disagreement[block] = spread.max(axis=1)
-        soft_dist[block] = _soft_distance_series(etas, spec)
-
-        sx = etas[:, :, 1]
-        sy = etas[:, :, 2]
-        violating = (
-            (sx < spec.eps_hard - tol)
-            | (sy < spec.eps_hard - tol)
-            | (np.hypot(sx, sy) > spec.r_hard + tol)
-        )
-        hard_violation_count += int(np.count_nonzero(violating.any(axis=1)))
+        s = etas[..., 1], etas[..., 2]
+        soft_dist[block] = soft_set_distance(*s, spec).max(axis=1)
+        inside = spec.in_hard_set(*s, tol=MEMBERSHIP_TOL).all(axis=1)
+        hard_violation_count += int(np.count_nonzero(~inside))
 
         gap = np.linalg.norm(positions[:, :, None, :] - centers, axis=-1) - radii
         min_obstacle_clearance = min(min_obstacle_clearance,
@@ -369,7 +364,7 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
     if consensus_step_max >= 1.0:
         warnings.warn(
             f"consensus step dt * lam * deg reached {consensus_step_max:.4g} >= 1: "
-            f"explicit-Euler consensus is unstable there",
+            "the parameter spread may grow (no longer a convex combination)",
             ConsensusStabilityWarning,
             stacklevel=2,
         )
@@ -385,21 +380,3 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
         goal_param_error=goal_param_error,
         consensus_step_max=consensus_step_max,
     )
-
-
-def _soft_distance_series(etas: np.ndarray, spec: ConstraintSpec) -> np.ndarray:
-    """Per-tick max over robots of the distance of s to the soft set.
-
-    Membership is tested vectorised; only the violating (tick, robot) pairs
-    go through the scalar projection, which keeps the series consistent
-    with `project_scaling` without duplicating its branch logic.
-    """
-    sx = etas[:, :, 1]
-    sy = etas[:, :, 2]
-    eps = spec.eps_soft
-    r2 = spec.r_soft * spec.r_soft
-    outside = (sx < eps) | (sy < eps) | (sx * sx + sy * sy > r2)
-    dist = np.zeros(sx.shape)
-    for k, i in zip(*np.nonzero(outside)):
-        dist[k, i] = soft_set_distance(sx[k, i], sy[k, i], spec)
-    return dist.max(axis=1)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swarmform import (
@@ -14,6 +14,7 @@ from swarmform import (
     scale_derivative,
     soft_set_distance,
 )
+from swarmform.constraints import _DISK_BAND, MEMBERSHIP_TOL
 
 # Bounds that keep the soft and hard sets distinct, used throughout.
 SOFT_SPEC = ConstraintSpec(eps_soft=0.5, eps_hard=0.25, r_soft=2.5, r_hard=2.75)
@@ -246,3 +247,102 @@ class TestDerivativeScaling:
             [0.1, a_s * 0.4, a_s * 0.8, 1.0, 0.0], abs=1e-15
         )
         assert np.array(out) == pytest.approx([0.1, 0.2766, 0.5532, 1.0, 0.0], abs=1e-4)
+
+
+# The dense_bound benchmark's sets: the soft set sits well inside the hard one.
+DENSE_SPEC = ConstraintSpec(eps_soft=0.75, eps_hard=0.5, r_soft=1.6, r_hard=2.5)
+
+
+def _polar(angle, radius):
+    return (radius * math.cos(angle), radius * math.sin(angle))
+
+
+def soft_regions(spec: ConstraintSpec):
+    """Scaling vectors from every branch of the soft projection."""
+    eps, r = spec.eps_soft, spec.r_soft
+    steep = math.atan2(spec.delta_soft, eps)  # angle of the left arc endpoint
+    swap = lambda p: (p[1], p[0])  # noqa: E731
+    below_wall = st.tuples(st.floats(-1.0, eps), st.floats(-1.0, 3.0 * r))
+    in_band = st.builds(
+        lambda a, k: _polar(a, r * math.sqrt(1.0 + k * _DISK_BAND)),
+        st.floats(0.0, math.pi / 2), st.floats(0.0, 1.0),
+    )
+    past_endpoint = st.builds(_polar, st.floats(steep, math.pi / 2), st.floats(r, 3.0 * r))
+    return st.one_of(
+        st.tuples(st.floats(-1.0, 3.0 * r), st.floats(-1.0, 3.0 * r)),
+        below_wall, below_wall.map(swap),
+        in_band,
+        past_endpoint, past_endpoint.map(swap),
+    )
+
+
+def scalar_soft_distance(sx: float, sy: float, spec: ConstraintSpec) -> float:
+    px, py = project_scaling(sx, sy, spec)
+    return math.hypot(sx - px, sy - py)
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("spec", [SOFT_SPEC, DENSE_SPEC])
+    def test_regions_of_the_property_below_are_reached(self, spec):
+        # One point per branch the strategy aims at, checked to be there.
+        eps, r = spec.eps_soft, spec.r_soft
+        band = _polar(0.7, r * math.sqrt(1.0 + 0.5 * _DISK_BAND))
+        nn = band[0] ** 2 + band[1] ** 2
+        assert r * r < nn <= r * r * (1.0 + _DISK_BAND)
+        assert project_scaling(*band, spec) == band
+        assert project_scaling(0.9 * eps, 3.0 * r, spec) == (eps, spec.delta_soft)
+        assert project_scaling(3.0 * r, 0.9 * eps, spec) == (spec.delta_soft, eps)
+
+    @pytest.mark.parametrize("spec", [SOFT_SPEC, DENSE_SPEC])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_soft_distance_matches_scalar_projection_bit_for_bit(self, spec, data):
+        points = data.draw(st.lists(soft_regions(spec), min_size=1, max_size=40))
+        sx = np.array([p[0] for p in points])
+        sy = np.array([p[1] for p in points])
+        want = np.array([scalar_soft_distance(x, y, spec) for x, y in points])
+        got = soft_set_distance(sx, sy, spec)
+        assert got.dtype == np.float64 and got.shape == sx.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.reshape(-1, 1).tobytes() == soft_set_distance(
+            sx.reshape(-1, 1), sy.reshape(-1, 1), spec).tobytes()
+        for value in (soft_set_distance(*points[0], spec),
+                      soft_set_distance(np.float64(sx[0]), np.array(sy[0]), spec)):
+            assert np.ndim(value) == 0
+            assert np.float64(value).tobytes() == want[:1].tobytes()
+
+    @pytest.mark.parametrize("spec", [SOFT_SPEC, DENSE_SPEC])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hard_membership_matches_scalar_calls(self, spec, data):
+        tol = data.draw(st.sampled_from([0.0, MEMBERSHIP_TOL, 1e-7, -0.05]))
+        r = spec.r_hard + tol
+        near_circle = st.builds(
+            lambda a, k: _polar(a, r * (1.0 + k * 2.0**-52)),
+            st.floats(0.0, math.pi / 2), st.integers(-4, 4),
+        )
+        anywhere = st.tuples(st.floats(-1.0, 1.5 * r), st.floats(-1.0, 1.5 * r))
+        points = data.draw(st.lists(near_circle | anywhere, min_size=1, max_size=40))
+        sx = np.array([p[0] for p in points])
+        sy = np.array([p[1] for p in points])
+        got = spec.in_hard_set(sx, sy, tol=tol)
+        assert got.dtype == np.bool_
+        assert got.tolist() == [spec.in_hard_set(x, y, tol=tol) for x, y in points]
+
+    @given(
+        sx=st.floats(-1.0, 4.0),
+        sy=st.floats(-1.0, 4.0),
+        tol=st.sampled_from([0.0, MEMBERSHIP_TOL, 1e-7, -0.05]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_hard_membership_matches_the_hypot_form_away_from_the_circle(self, sx, sy, tol):
+        # The squared disk test differs from the hypot one only within a few
+        # ulps of the circle.
+        spec = SOFT_SPEC
+        assume(abs(math.hypot(sx, sy) - (spec.r_hard + tol)) > 1e-12)
+        old = (
+            sx >= spec.eps_hard - tol
+            and sy >= spec.eps_hard - tol
+            and math.hypot(sx, sy) <= spec.r_hard + tol
+        )
+        assert spec.in_hard_set(sx, sy, tol=tol) == old

@@ -149,7 +149,7 @@ class TestPlanTick:
         p = slot_pos + e0
         for _ in range(steps):
             res = plan_tick(state, (0.0, 0.0), [], p, dt)
-            p = p + dt * res.v_cmd
+            p = p + dt * np.asarray(res.v_cmd)
             state.eta = res.eta_next
         expected = (1.0 - k_fb * dt) ** steps * np.linalg.norm(e0)
         assert np.linalg.norm(p - slot_pos) == pytest.approx(expected, abs=1e-9)
@@ -164,7 +164,7 @@ class TestPlanTick:
             v_des = rng.uniform(-10, 10, 2)
             res = plan_tick(state, v_des, [], p, 1e-3)
             state.eta = res.eta_next
-            p = p + 1e-3 * res.v_cmd
+            p = p + 1e-3 * np.asarray(res.v_cmd)
             assert spec.in_hard_set(state.eta.sx, state.eta.sy, tol=1e-9)
 
     def test_scaled_step_lands_inside_hard_set(self):
@@ -196,6 +196,11 @@ class TestFloatPath:
             v = recover_velocity(state, rate, rng.uniform(-5, 5, 2))
             assert type(v) is tuple and len(v) == 2
             assert all(type(x) is float for x in v)
+        # plan_tick hands the pair on: a tick builds no array.
+        state = make_state(eta=FormationParams(0.2, 2.7, 0.3, 1.0, -1.0), k_fb=2.0)
+        v = plan_tick(state, rng.uniform(-5, 5, 2), [], rng.uniform(-5, 5, 2), 1e-3).v_cmd
+        assert type(v) is tuple and len(v) == 2
+        assert all(type(x) is float for x in v)
 
 
 class TestTickAllocation:
@@ -291,7 +296,7 @@ class TestPlanTickProperties:
         def tick(i, all_eta):
             state = make_state(eta=all_eta[i], slot=slots[i], lam=8.0, mu=10.0, k_fb=2.0)
             res = plan_tick(state, v_des[i], exchange(nbrs, all_eta)[i], positions[i], 1e-3)
-            return res.v_cmd.tobytes(), res.eta_next.as_array().tobytes(), res.a_s
+            return np.asarray(res.v_cmd).tobytes(), res.eta_next.as_array().tobytes(), res.a_s
 
         for i in range(n):
             before = tick(i, etas)

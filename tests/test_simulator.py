@@ -21,6 +21,7 @@ from swarmform import (
     TrajectoryLog,
     compute_metrics,
     initial_positions,
+    project_scaling,
     reference_scenario,
     run,
     unit_grid,
@@ -239,6 +240,35 @@ class TestComputeMetrics:
         m = compute_metrics(log, sc)
         assert m.soft_set_distance[0] == 0.0
         assert m.soft_set_distance[1] == pytest.approx(0.25, abs=1e-12)
+
+    def test_soft_distance_when_every_robot_tick_is_outside(self):
+        # As on dense_bound: no logged scaling lies in the soft set.  Below a
+        # wall, past each arc endpoint, past the arc, and in the hard set or
+        # not; the series is the scalar projection's distance, bit for bit.
+        spec = ConstraintSpec(eps_soft=0.75, eps_hard=0.5, r_soft=1.6, r_hard=2.5)
+        sc = Scenario(base=unit_grid(2, 1.0), eta_goal=FormationParams.identity(),
+                      constraints=spec)
+        rng = np.random.default_rng(5)
+        t, n = 30, 4
+        angle = rng.uniform(0.0, 0.5 * math.pi, (t, n))
+        radius = rng.uniform(1.0001 * spec.r_soft, 1.7 * spec.r_soft, (t, n))
+        scaling = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+        scaling[::3, 0] = (0.6, 1.2)
+        scaling[1::3, 1] = (1.2, 0.6)
+        etas = np.zeros((t, n, 5))
+        etas[:, :, 1:3] = scaling
+        log = self._log_for(etas, np.zeros((t, n, 2)) + np.arange(n)[:, None])
+        m = compute_metrics(log, sc)
+
+        dist = [[math.hypot(sx - px, sy - py)
+                 for sx, sy in row for px, py in [project_scaling(sx, sy, spec)]]
+                for row in scaling.tolist()]
+        assert min(map(min, dist)) > 0.0
+        assert m.soft_set_distance.tolist() == [max(row) for row in dist]
+        outside_hard = [any(not spec.in_hard_set(sx, sy, tol=MEMBERSHIP_TOL) for sx, sy in row)
+                        for row in scaling.tolist()]
+        assert 0 < sum(outside_hard) < t
+        assert m.hard_violation_count == sum(outside_hard)
 
     def test_obstacle_clearance(self):
         sc = Scenario(
