@@ -12,7 +12,9 @@ directly into the desired velocity.
 `potential_field` evaluates the field for a whole swarm at once from the
 robots' pairwise squared distances (the ones the communication graph is
 built from).  The per-robot functions are views of it, so the field has one
-implementation.
+implementation.  At small N a numpy call costs about the same whatever its
+size, so the field is written for few calls: one repulsion pass over the
+nearest obstacles and robots stacked, masked writes instead of `np.where`.
 """
 
 from __future__ import annotations
@@ -82,22 +84,13 @@ def obstacle_arrays(obstacles) -> tuple[np.ndarray, np.ndarray]:
 def _attraction(points: np.ndarray, goals: np.ndarray, gains: ApfGains) -> np.ndarray:
     d = goals - points
     dist = np.hypot(d[:, 0], d[:, 1])
-    speed = np.where(dist > gains.rho, gains.k_att, gains.k_att * dist / gains.rho)
+    speed = gains.k_att * dist / gains.rho
+    speed[dist > gains.rho] = gains.k_att
     at_goal = dist == 0.0
-    v = speed[:, None] * d / np.where(at_goal, 1.0, dist)[:, None]
-    return np.where(at_goal[:, None], 0.0, v)
-
-
-def _away(d: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """Unit vectors along the rows of `d`, whose lengths are `norm`.
-
-    Coincident points give no direction, so they get a fixed one and the
-    output stays deterministic.
-    """
-    coincident = norm == 0.0
-    away = d / np.where(coincident, 1.0, norm)[:, None]
-    away[coincident] = (1.0, 0.0)
-    return away
+    # A hypot is never -0, so dist + at_goal is dist, or 1 at the goal.
+    v = speed[:, None] * d / (dist + at_goal)[:, None]
+    np.copyto(v, 0.0, where=at_goal[:, None])
+    return v
 
 
 def _repulsion(surface: np.ndarray, away: np.ndarray, gains: ApfGains) -> np.ndarray:
@@ -109,9 +102,9 @@ def _repulsion(surface: np.ndarray, away: np.ndarray, gains: ApfGains) -> np.nda
             stacklevel=3,
         )
     d = np.maximum(d, REPULSION_FLOOR)
-    active = d < gains.nu
-    mag = gains.k_rep * (1.0 / d - 1.0 / gains.nu)
-    return np.where(active[:, None], mag[:, None] * away, 0.0)
+    v = gains.k_rep * (1.0 / d - 1.0 / gains.nu)[:, None] * away
+    np.copyto(v, 0.0, where=~(d < gains.nu)[:, None])
+    return v
 
 
 def potential_field(
@@ -130,22 +123,32 @@ def potential_field(
     radii, `robots` (K, 2) positions and `robot_d2` (M, K) the squared
     distances from each point to each robot, +inf where a robot must be
     ignored (the point itself).  Ties break toward the lowest index.  One
-    :class:`PenetrationWarning` is emitted per clamped repulsion.
+    :class:`PenetrationWarning` is emitted per clamped repulsion, obstacles
+    first.
     """
-    v = _attraction(points, goals, gains)
     rows = np.arange(len(points))
+    nearest = []  # (offset, distance, surface distance) rows per kind
     if len(obstacle_radii):
-        dx = points[:, None, 0] - obstacle_centers[None, :, 0]
-        dy = points[:, None, 1] - obstacle_centers[None, :, 1]
-        norm = np.hypot(dx, dy)
+        d = points[:, None, :] - obstacle_centers
+        norm = np.hypot(d[..., 0], d[..., 1])
         surface = norm - obstacle_radii
-        k = np.argmin(surface, axis=1)
-        away = _away(points - obstacle_centers[k], norm[rows, k])
-        v = v + _repulsion(surface[rows, k], away, gains)
+        k = surface.argmin(1)
+        nearest.append((d[rows, k], norm[rows, k], surface[rows, k]))
     if robot_d2.shape[1]:
-        k = np.argmin(robot_d2, axis=1)
+        k = robot_d2.argmin(1)
         dist = np.sqrt(robot_d2[rows, k])
-        v = v + _repulsion(dist, _away(points - robots[k], dist), gains)
+        nearest.append((points - robots[k], dist, dist))
+    v = _attraction(points, goals, gains)
+    if nearest:
+        # One pass over the nearest obstacles stacked above the nearest robots.
+        offset, norm, surface = map(np.concatenate, zip(*nearest))
+        # Coincident points give no direction, so they get a fixed one and
+        # the output stays deterministic.
+        coincident = norm == 0.0
+        away = offset / (norm + coincident)[:, None]
+        np.copyto(away, (1.0, 0.0), where=coincident[:, None])
+        for part in _repulsion(surface, away, gains).reshape(len(nearest), len(points), 2):
+            v += part
     return v
 
 

@@ -26,6 +26,7 @@ from .simulator import RunMetrics, Scenario, TrajectoryLog
 from .transform import BaseConfiguration, FormationParams
 
 CSV_HEADER = "t,robot,px,py,vx,vy,phi,sx,sy,tx,ty,a_s,neighbors"
+_CSV_ROW = ",".join(["%.12g", "%d"] + ["%.12g"] * 10 + ["%d"]) + "\n"
 
 # The top-level keys, in file order: Scenario's fields.
 _TOP_KEYS = tuple(f.name for f in fields(Scenario))
@@ -224,19 +225,20 @@ def export_csv(log: TrajectoryLog, path) -> None:
     """Write the trajectory log as CSV, one row per robot per tick.
 
     Floats carry 12 significant digits; identical logs produce identical
-    bytes.
+    bytes, the ones `np.savetxt` writes with the same formats.  The rows are
+    formatted in blocks of whole ticks, about 512 rows each, with one `%`
+    per block, so memory holds one block at a time.
     """
     t, n = log.n_ticks, log.n_robots
-    rows = np.empty((t * n, 13))
-    rows[:, 0] = np.repeat(log.times, n)
-    rows[:, 1] = np.tile(np.arange(n), t)
-    rows[:, 2:4] = log.positions.reshape(t * n, 2)
-    rows[:, 4:6] = log.velocities.reshape(t * n, 2)
-    rows[:, 6:11] = log.etas.reshape(t * n, 5)
-    rows[:, 11] = log.a_s.reshape(t * n)
-    rows[:, 12] = log.neighbor_counts.reshape(t * n)
-    fmt = ["%.12g", "%d"] + ["%.12g"] * 10 + ["%d"]
-    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=CSV_HEADER, comments="")
+    ticks = max(1, 512 // max(n, 1))
+    with open(path, "w", encoding="ascii") as f:
+        f.write(CSV_HEADER + "\n")
+        for start in range(0, t, ticks):
+            b = slice(start, start + ticks)
+            times, ids = np.broadcast_arrays(log.times[b, None, None], np.arange(n)[:, None])
+            rows = np.concatenate((times, ids, log.positions[b], log.velocities[b], log.etas[b],
+                                   log.a_s[b, :, None], log.neighbor_counts[b, :, None]), axis=2)
+            f.write((_CSV_ROW * (len(rows) * n)) % tuple(rows.ravel().tolist()))
 
 
 def format_metrics_summary(metrics: RunMetrics) -> str:

@@ -24,7 +24,7 @@ def square_distances(positions) -> np.ndarray:
     dy = pts[:, None, 1] - pts[None, :, 1]
     d2 = np.square(dx, out=dx)
     d2 += np.square(dy, out=dy)
-    np.fill_diagonal(d2, np.inf)
+    d2.flat[:: len(pts) + 1] = np.inf
     return d2
 
 
@@ -43,10 +43,9 @@ def build_graph(positions, r_c: float, d2=None) -> tuple[np.ndarray, np.ndarray]
     n = len(d2)
     within = d2 <= r_c * r_c
     # An infinite r_c * r_c would otherwise admit the +inf diagonal.
-    np.fill_diagonal(within, False)
-    flat = np.flatnonzero(within)  # row-major: by robot, then by id
-    indptr = np.searchsorted(flat, np.arange(n + 1) * n)
-    return indptr, flat % n
+    within.flat[:: n + 1] = False
+    robot, indices = within.nonzero()  # row-major: by robot, then by id
+    return robot.searchsorted(np.arange(n + 1)), indices
 
 
 def exchange(graph, all_eta) -> list[list]:

@@ -46,7 +46,8 @@ _BLOCK_PAIRS = 100_000
 class ConsensusStabilityWarning(UserWarning):
     """A run's explicit-Euler consensus step dt * lam * deg reached 1: an
     update is no longer a convex combination, so the parameter spread may
-    grow.  The iteration diverges only once dt * lam * lambda_max(L) > 2."""
+    grow.  The iteration diverges only once dt * lam * lambda_max(L) > 2.
+    The message names the first tick and robot (lowest id) that reached 1."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -289,8 +290,8 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
                 raise NonFiniteInputError(f"robot {i} at t={times[k]:.6f}s: {exc}") from exc
         for st, res in zip(states, results):
             st.eta = res.eta_next
+        log_nbrs[k] = graph[0][1:] - graph[0][:-1]
         log_a_s[k] = [res.a_s for res in results]
-        log_nbrs[k] = np.diff(graph[0])
         log_pos[k] = positions
         log_vel[k] = [res.v_cmd for res in results]
         log_eta[k] = [(e.phi, e.sx, e.sy, e.tx, e.ty) for e in etas]
@@ -359,11 +360,14 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
     delta[0] = math.pi - (math.pi - delta[0]) % (2.0 * math.pi)
     goal_param_error = float(np.linalg.norm(delta))
 
-    lam = np.array([scenario.gains_for(i).lam for i in range(log.n_robots)])
-    consensus_step_max = float(np.max(scenario.dt * lam * log.neighbor_counts.max(axis=0)))
+    dt_lam = scenario.dt * np.array([scenario.gains_for(i).lam for i in range(n)])
+    consensus_step_max = float(np.max(dt_lam * log.neighbor_counts.max(axis=0)))
     if consensus_step_max >= 1.0:
+        # Row-major order: the first tick, then its lowest robot id.
+        tick, robot = np.argwhere(dt_lam * log.neighbor_counts >= 1.0)[0]
         warnings.warn(
-            f"consensus step dt * lam * deg reached {consensus_step_max:.4g} >= 1: "
+            f"consensus step dt * lam * deg reached {consensus_step_max:.4g} >= 1, "
+            f"first at tick {tick} (t={log.times[tick]:.6f}s) by robot {robot}: "
             "the parameter spread may grow (no longer a convex combination)",
             ConsensusStabilityWarning,
             stacklevel=2,

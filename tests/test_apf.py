@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmform import (
@@ -13,6 +14,7 @@ from swarmform import (
     potential_field,
     repulsive_velocity,
 )
+from swarmform.apf import REPULSION_FLOOR
 
 GAINS = ApfGains()  # documented defaults: k_att=5, rho=0.1, k_rep=5, xi=0.25, nu=1.5
 
@@ -143,3 +145,134 @@ class TestDesiredVelocity:
             (0.0, 0.0), (-3.0, 1.0), [near, farther], [], GAINS
         )
         assert np.array_equal(base, with_extra)
+
+
+# The field in its first array form: one np.where per clamp or mask, and one
+# away/repulsion pass for the obstacles, then one for the robots.  The
+# stacked pass of `potential_field` must match it bit for bit.
+def _oracle_attraction(points, goals, gains):
+    d = goals - points
+    dist = np.hypot(d[:, 0], d[:, 1])
+    speed = np.where(dist > gains.rho, gains.k_att, gains.k_att * dist / gains.rho)
+    at_goal = dist == 0.0
+    v = speed[:, None] * d / np.where(at_goal, 1.0, dist)[:, None]
+    return np.where(at_goal[:, None], 0.0, v)
+
+
+def _oracle_away(d, norm):
+    coincident = norm == 0.0
+    away = d / np.where(coincident, 1.0, norm)[:, None]
+    away[coincident] = (1.0, 0.0)
+    return away
+
+
+def _oracle_repulsion(surface, away, gains):
+    d = surface - gains.xi
+    for di in d[d <= 0.0].tolist():
+        warnings.warn(
+            f"inflated surface distance {di:.4f} m <= 0; clamping to {REPULSION_FLOOR}",
+            PenetrationWarning,
+        )
+    d = np.maximum(d, REPULSION_FLOOR)
+    active = d < gains.nu
+    mag = gains.k_rep * (1.0 / d - 1.0 / gains.nu)
+    return np.where(active[:, None], mag[:, None] * away, 0.0)
+
+
+def oracle_field(points, goals, obstacle_centers, obstacle_radii, robots, robot_d2, gains):
+    v = _oracle_attraction(points, goals, gains)
+    rows = np.arange(len(points))
+    if len(obstacle_radii):
+        dx = points[:, None, 0] - obstacle_centers[None, :, 0]
+        dy = points[:, None, 1] - obstacle_centers[None, :, 1]
+        norm = np.hypot(dx, dy)
+        surface = norm - obstacle_radii
+        k = np.argmin(surface, axis=1)
+        away = _oracle_away(points - obstacle_centers[k], norm[rows, k])
+        v = v + _oracle_repulsion(surface[rows, k], away, gains)
+    if robot_d2.shape[1]:
+        k = np.argmin(robot_d2, axis=1)
+        dist = np.sqrt(robot_d2[rows, k])
+        v = v + _oracle_repulsion(dist, _oracle_away(points - robots[k], dist), gains)
+    return v
+
+
+# Coordinates from a small set of values too, so that points coincide with
+# their goals, with each other and with obstacle centres, signed zeros included.
+_coord = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0]), st.floats(-4.0, 4.0))
+_pair = st.tuples(_coord, _coord)
+
+
+@st.composite
+def field_inputs(draw):
+    """Arguments of `potential_field`: 1-12 points, each at its goal (maybe
+    with the other sign of zero) or not; 0-3 obstacles, often penetrated once
+    inflated; and either the points themselves as the robots (the simulator's
+    use, so a lone point sees only +inf) or 0-12 other robots, some ignored."""
+    points = np.array(draw(st.lists(_pair, min_size=1, max_size=12)))
+    goals = points.copy()
+    for i in range(len(points)):
+        kind = draw(st.sampled_from(["at", "flipped zero", "elsewhere"]))
+        if kind == "flipped zero":
+            goals[i][goals[i] == 0.0] *= -1.0
+        elif kind == "elsewhere":
+            goals[i] = draw(_pair)
+    centers = np.array(draw(st.lists(_pair, max_size=3))).reshape(-1, 2)
+    radii = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=len(centers),
+                                   max_size=len(centers))))
+    if draw(st.booleans()):
+        robots = points
+    else:
+        robots = np.array(draw(st.lists(_pair, max_size=12))).reshape(-1, 2)
+    dx = points[:, None, 0] - robots[None, :, 0]
+    dy = points[:, None, 1] - robots[None, :, 1]
+    d2 = dx * dx + dy * dy
+    if robots is points:
+        d2[np.diag_indices(len(points))] = np.inf
+    else:
+        d2[np.array(draw(st.lists(st.booleans(), min_size=d2.size, max_size=d2.size)),
+                    dtype=bool).reshape(d2.shape)] = np.inf
+    gains = draw(st.one_of(st.just(ApfGains()), st.builds(
+        ApfGains, k_att=st.floats(0.1, 10.0), rho=st.floats(0.01, 2.0),
+        k_rep=st.floats(0.1, 10.0), xi=st.floats(0.01, 1.0), nu=st.floats(0.1, 3.0))))
+    return points, goals, centers, radii, robots, d2, gains
+
+
+def _lone_robot():
+    point = np.array([[1.0, -0.0]])
+    return point, point, np.zeros((0, 2)), np.zeros(0), point, np.full((1, 1), np.inf), GAINS
+
+
+def _coincident_in_an_obstacle():
+    points = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, -0.0]])
+    goals = np.array([[-0.0, 0.0], [3.0, 1.0], [0.5, 0.0]])
+    d2 = np.array([[np.inf, 0.0, 0.25], [0.0, np.inf, 0.25], [0.25, 0.25, np.inf]])
+    return points, goals, np.array([[0.0, 0.0]]), np.array([1.0]), points, d2, GAINS
+
+
+def _exactly_at_the_switch_distance():
+    # dist == rho, where k_att * rho / rho is not k_att, and the velocity
+    # shows the difference.
+    goal = np.array([[0.33, 0.79]])
+    gains = ApfGains(k_att=3.2, rho=float(np.hypot(0.33, 0.79)))
+    return (np.zeros((1, 2)), goal, np.zeros((0, 2)), np.zeros(0),
+            np.zeros((0, 2)), np.zeros((1, 0)), gains)
+
+
+class TestFieldOracle:
+    @given(args=field_inputs())
+    @example(args=_lone_robot())
+    @example(args=_coincident_in_an_obstacle())
+    @example(args=_exactly_at_the_switch_distance())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_first_array_form_bit_for_bit(self, args):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always", PenetrationWarning)
+            v = potential_field(*args)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always", PenetrationWarning)
+            expected = oracle_field(*args)
+        assert v.dtype == expected.dtype and v.shape == expected.shape
+        assert v.tobytes() == expected.tobytes()
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        assert all(w.category is PenetrationWarning for w in got)

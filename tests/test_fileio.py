@@ -317,7 +317,58 @@ def _small_log(n_ticks, n_robots):
     )
 
 
+# Values hard for "%.12g": signed zeros, subnormals, huge magnitudes, exact
+# ties at the 12th digit (to even, up, with a carry), non-finite values.
+_AWKWARD = np.array([
+    -0.0, 0.0, 5e-324, -2.2250738585e-309, 1e300, -1e300, 100000000000.5,
+    100000000001.5, 999999999999.5, -1234567890125.0, 0.1, 1 / 3,
+    math.nan, math.inf, -math.inf,
+])
+
+
+def _awkward_log(n_ticks, n_robots):
+    rng = np.random.default_rng(1000 * n_ticks + n_robots)
+    shape = (n_ticks, n_robots)
+    times = np.arange(n_ticks) * 1e-3
+    times[:1] = -0.0
+    return TrajectoryLog(
+        times=times,
+        positions=rng.choice(_AWKWARD, (*shape, 2)),
+        velocities=rng.choice(_AWKWARD, (*shape, 2)),
+        etas=rng.choice(_AWKWARD, (*shape, 5)),
+        a_s=rng.choice(_AWKWARD, shape),
+        # Counts past 2**53 round on the way to float64, as savetxt's did.
+        neighbor_counts=rng.integers(0, 2**60, shape) >> rng.integers(0, 61, shape),
+    )
+
+
+def _savetxt_csv(log, path):
+    """The byte oracle: the trajectory CSV as `np.savetxt` writes it."""
+    t, n = log.n_ticks, log.n_robots
+    rows = np.empty((t * n, 13))
+    rows[:, 0] = np.repeat(log.times, n)
+    rows[:, 1] = np.tile(np.arange(n), t)
+    rows[:, 2:4] = log.positions.reshape(t * n, 2)
+    rows[:, 4:6] = log.velocities.reshape(t * n, 2)
+    rows[:, 6:11] = log.etas.reshape(t * n, 5)
+    rows[:, 11] = log.a_s.reshape(t * n)
+    rows[:, 12] = log.neighbor_counts.reshape(t * n)
+    fmt = ["%.12g", "%d"] + ["%.12g"] * 10 + ["%d"]
+    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=CSV_HEADER, comments="")
+
+
 class TestExportCsv:
+    # (200, 7): three blocks of whole ticks, the last one partial; (3, 600):
+    # ticks longer than a block.
+    @pytest.mark.parametrize(
+        "n_ticks, n_robots", [(0, 3), (1, 1), (5, 1), (4, 0), (200, 7), (3, 600)]
+    )
+    def test_same_bytes_as_savetxt(self, tmp_path, n_ticks, n_robots):
+        log = _awkward_log(n_ticks, n_robots)
+        export_csv(log, tmp_path / "blocks.csv")
+        _savetxt_csv(log, tmp_path / "savetxt.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
     def test_empty_log_writes_header_only(self, tmp_path):
         log = TrajectoryLog(
             times=np.zeros(0),

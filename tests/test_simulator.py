@@ -396,9 +396,25 @@ class TestConsensusStepBound:
             compute_metrics(entry.log, entry.scenario)
 
     def test_dense_grid_past_the_bound_warns(self):
-        with pytest.warns(ConsensusStabilityWarning, match="3.168"):
+        with pytest.warns(ConsensusStabilityWarning, match="3.168") as record:
             _, m = run(self._dense_grid(32.0))
         assert m.consensus_step_max == 3.168
+        # Every robot reaches the bound from the first tick on.
+        assert "first at tick 0 (t=0.000000s) by robot 0" in str(record[0].message)
+
+    def test_warning_names_the_first_tick_and_its_lowest_robot(self):
+        log, _ = run(tiny_scenario())
+        sc = tiny_scenario(gains=(PlannerGains(8.0, 0.0, 0.0), PlannerGains(50.0, 0.0, 0.0),
+                                  PlannerGains(500.0, 0.0, 0.0), PlannerGains(0.0, 0.0, 0.0)))
+        counts = np.zeros_like(log.neighbor_counts)
+        counts[3] = (124, 19, 1, 3)   # dt * lam * deg: 0.992, 0.95, 0.5, 0
+        counts[6] = (0, 21, 3, 0)     # robots 1 and 2 pass 1 here
+        counts[9] = (200, 0, 0, 0)    # the largest step comes later
+        with pytest.warns(ConsensusStabilityWarning) as record:
+            m = compute_metrics(replace(log, neighbor_counts=counts), sc)
+        assert m.consensus_step_max == pytest.approx(1.6)
+        t6 = f"{log.times[6]:.6f}"
+        assert f"first at tick 6 (t={t6}s) by robot 1:" in str(record[0].message)
 
     def test_dense_grid_inside_the_bound_does_not_warn(self):
         with warnings.catch_warnings():
