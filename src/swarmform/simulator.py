@@ -40,7 +40,7 @@ from .apf import desired_velocity  # noqa: F401
 
 # (tick, robot, robot) entries per block of ticks in compute_metrics, which
 # bound its temporaries.
-_BLOCK_PAIRS = 100_000
+_BLOCK_PAIRS = 25_000
 
 
 class ConsensusStabilityWarning(UserWarning):
@@ -296,6 +296,8 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
         log_vel[k] = [res.v_cmd for res in results]
         log_eta[k] = [(e.phi, e.sx, e.sy, e.tx, e.ty) for e in etas]
         positions = step_world(positions, log_vel[k], dt)
+        # Dropped so that no stale N x N matrix outlives its tick.
+        del d2, graph, v_des
 
     log = TrajectoryLog(
         times=times,
@@ -331,6 +333,9 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
     hard_violation_count = 0
     min_obstacle_clearance = min_d2 = math.inf
     ticks = max(1, _BLOCK_PAIRS // (n * n))
+    # The pair pass's two buffers, shared by every block: a block that
+    # allocated and dropped its own made the heap shrink and refault.
+    pairs = np.empty((2, min(ticks, t), n, n))
     for start in range(0, t, ticks):
         block = slice(start, start + ticks)
         etas = log.etas[block]
@@ -349,10 +354,11 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
         min_obstacle_clearance = min(min_obstacle_clearance,
                                      float(np.min(gap, initial=math.inf)))
 
-        d = positions[:, :, None, 0] - positions[:, None, :, 0]
-        d2 = d * d
-        d = positions[:, :, None, 1] - positions[:, None, :, 1]
-        d2 += d * d
+        d2, d = pairs[:, : len(positions)]
+        np.subtract(positions[:, :, None, 0], positions[:, None, :, 0], out=d2)
+        d2 *= d2
+        np.subtract(positions[:, :, None, 1], positions[:, None, :, 1], out=d)
+        d2 += np.square(d, out=d)
         min_d2 = min(min_d2, float(np.min(d2, where=off_diagonal, initial=math.inf)))
 
     # The rotation is compared modulo a full turn: wrapped to (-pi, pi].

@@ -1,6 +1,7 @@
 import math
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -370,6 +371,55 @@ class TestComputeMetrics:
         )
         with pytest.raises(ValueError):
             compute_metrics(log, sc)
+
+
+class TestTransientMemory:
+    """A run holds one N x N distance matrix and one scratch at a time, and
+    the metrics' temporaries are bounded by their block size, not by the run
+    length.  Peaks are `tracemalloc`'s, which sees numpy's buffers."""
+
+    @staticmethod
+    def _traced_peak(fn, *args):
+        fn(*args)  # warm: first-call caches are not the run's transients
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    def test_run_peaks_below_three_distance_matrices(self):
+        # 20x20 unit grid, r_c 1.5: one N x N float64 array is 1.28 MB.  A
+        # stale matrix beside the next tick's (or a four-buffer pair pass in
+        # the metrics) puts the peak at about 4.6 of them.
+        sc = Scenario(base=unit_grid(20, 1.0), eta_goal=FormationParams(0.3, 1.0, 1.0, 1.0, 0.5),
+                      r_c=1.5, t_final=3e-3, init_noise_sigma=0.02)
+        (log, _), peak = self._traced_peak(run, sc)
+        log_bytes = sum(getattr(log, f.name).nbytes for f in fields(log))
+        matrix = sc.n_robots**2 * 8
+        assert log.n_ticks == 3
+        assert peak - log_bytes < 3 * matrix, (peak - log_bytes) / matrix
+
+    def test_metric_temporaries_do_not_grow_with_the_run(self):
+        # 9 robots: 1000 ticks are 81 000 (tick, robot, robot) entries, one
+        # block if blocks grew with the run (four pair buffers of 0.65 MB);
+        # the same log three times over must stay under the same bound.
+        sc = replace(reference_scenario(), t_final=1.0)
+        log, _ = run(sc)
+        t = log.n_ticks
+        longer = replace(
+            log,
+            times=np.concatenate([log.times + i * t * sc.dt for i in range(3)]),
+            **{name: np.concatenate([getattr(log, name)] * 3)
+               for name in ("positions", "velocities", "etas", "a_s", "neighbor_counts")},
+        )
+        for log_ in (log, longer):
+            m, peak = self._traced_peak(compute_metrics, log_, sc)
+            kept = sum(a.nbytes for a in (m.times, m.formation_error, m.disagreement,
+                                          m.soft_set_distance))
+            assert peak - kept < 1 << 20, (log_.n_ticks, peak - kept)
 
 
 class TestConsensusStepBound:
