@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apf import obstacle_arrays, potential_field
-from .network import build_graph, exchange, square_distances
+from .apf import obstacle_arrays
 from .planner import (
     PlannerState,
     Rate,
@@ -28,7 +27,7 @@ from .planner import (
     soft_term,
     tracking_term,
 )
-from .simulator import Scenario, run
+from .simulator import Scenario, run, swarm_half
 from .transform import FormationParams, apply_transform
 
 STEP_NAMES = (
@@ -106,11 +105,7 @@ def collect_samples(scenario: Scenario, max_samples: int = 256) -> list[_Sample]
     for k in ticks:
         positions = log.positions[k]
         etas = [FormationParams.from_array(log.etas[k, i]) for i in range(n)]
-        d2 = square_distances(positions)
-        received = exchange(build_graph(positions, scenario.r_c, d2), etas)
-        v_des = potential_field(
-            positions, goals, centers, radii, positions, d2, scenario.apf
-        )
+        _, received, v_des = swarm_half(scenario, positions, etas, goals, centers, radii)
         for i in range(n):
             if len(samples) >= max_samples:
                 return samples

@@ -76,7 +76,11 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     emit_scenario(scenario, out / "scenario.yaml")
     t0 = time.perf_counter()
-    log, metrics = run(scenario)
+    try:
+        log, metrics = run(scenario)
+    except ValueError as exc:  # a failed run; the message names the robot and the time
+        print(f"swarmform: error: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - t0
     export_csv(log, out / "trajectory.csv")
     write_metrics_summary(metrics, out / "metrics.txt")
@@ -166,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  A bad scenario file, a rejected override or an
-    unreadable file is reported on one stderr line with exit code 2."""
+    unreadable file is reported on one stderr line with exit code 2, and a
+    failed simulation on one line with exit code 1, the code of `sweep`."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -9,8 +9,8 @@ pull toward its Euclidean projection; a mandatory (hard) set of the same
 shape is enforced by scaling the derivative so that no step can leave it.
 
 The planner's path takes one robot's floats; `in_hard_set` and
-`soft_set_distance` also judge whole logs elementwise, with the planner's
-own decisions.  All functions are pure and thread-safe.
+`soft_set_distance` also judge whole logs elementwise, by the planner's own
+membership test and projection.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -104,24 +104,21 @@ def project_scaling(sx: float, sy: float, spec: ConstraintSpec) -> tuple[float, 
 def soft_set_distance(sx, sy, spec: ConstraintSpec):
     """Euclidean distance from scaling vectors to the soft set (0 inside).
 
-    Elementwise on floats or arrays, with `project_scaling`'s branches bit
-    for bit.  Measured with `math.hypot` (`np.hypot` can differ in the last
-    bit), and only on the entries the projection moved.
+    Elementwise on floats or arrays of one shape.  The entries that
+    `project_scaling` returns unchanged read 0; every other entry is measured
+    against `project_scaling` itself, with `math.hypot` (`np.hypot` can
+    differ in the last bit).
     """
     sx, sy = np.asarray(sx, float), np.asarray(sy, float)
-    eps, r, delta = spec.eps_soft, spec.r_soft, spec.delta_soft
-    x, y = np.maximum(sx, eps), np.maximum(sy, eps)
-    nn = x * x + y * y
-    outside = nn > r * r * (1.0 + _DISK_BAND)
-    f = np.where(outside, r / np.sqrt(nn), 1.0)
-    px, py = x * f, y * f
-    snap_x = outside & (px <= eps)
-    snap_y = outside & ~snap_x & (py <= eps)
-    dx = sx - np.where(snap_x, eps, np.where(snap_y, delta, px))
-    dy = sy - np.where(snap_x, delta, np.where(snap_y, eps, py))
-    moved = (dx != 0.0) | (dy != 0.0)
+    eps, r = spec.eps_soft, spec.r_soft
+    moved = ~((sx >= eps) & (sy >= eps) & (sx * sx + sy * sy <= r * r * (1.0 + _DISK_BAND)))
+
+    def distance(x, y):
+        px, py = project_scaling(x, y, spec)
+        return math.hypot(x - px, y - py)
+
     dist = np.zeros(moved.shape)
-    dist[moved] = np.frompyfunc(math.hypot, 2, 1)(dx[moved], dy[moved])
+    dist[moved] = list(map(distance, sx[moved].tolist(), sy[moved].tolist()))
     return dist[()]
 
 

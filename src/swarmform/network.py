@@ -15,16 +15,17 @@ import numpy as np
 
 
 def square_distances(positions) -> np.ndarray:
-    """(N, N) squared distances between robots, +inf on the diagonal.
-
-    The infinite diagonal keeps a robot out of its own nearest-robot search.
+    """(..., N, N) squared distances between the robots of each position set
+    in `positions` (..., N, 2): one tick's, or a stack of logged ticks.  The
+    +inf on every diagonal keeps a robot out of its own nearest-robot search.
     """
-    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-    dx = pts[:, None, 0] - pts[None, :, 0]
-    dy = pts[:, None, 1] - pts[None, :, 1]
+    pts = np.asarray(positions, dtype=float)
+    dx = pts[..., None, 0] - pts[..., None, :, 0]
+    dy = pts[..., None, 1] - pts[..., None, :, 1]
     d2 = np.square(dx, out=dx)
     d2 += np.square(dy, out=dy)
-    d2.flat[:: len(pts) + 1] = np.inf
+    n = pts.shape[-2]
+    d2.reshape(-1, n * n)[:, :: n + 1] = np.inf
     return d2
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .apf import ApfGains, Obstacle, obstacle_arrays, potential_field
 from .constraints import MEMBERSHIP_TOL, ConstraintSpec, soft_set_distance
 from .network import build_graph, exchange, square_distances
-from .planner import NonFiniteInputError, PlannerGains, PlannerState, plan_tick
+from .planner import PlannerGains, PlannerState, plan_tick
 from .transform import (
     BaseConfiguration,
     FormationParams,
@@ -244,11 +244,25 @@ def initial_positions(scenario: Scenario) -> np.ndarray:
     return pts
 
 
+def swarm_half(scenario: Scenario, positions, etas, goals, centers, radii):
+    """A tick's range graph, the etas each robot receives over it and every
+    robot's desired velocity, from one distance matrix: `(graph, received,
+    v_des)`.  `run` and `bench.collect_samples` share it.  It calls through
+    this module's names, which perfbench/tracing.py rebinds.
+    """
+    d2 = square_distances(positions)
+    graph = build_graph(positions, scenario.r_c, d2)
+    received = exchange(graph, etas)
+    v_des = potential_field(positions, goals, centers, radii, positions, d2, scenario.apf)
+    return graph, received, v_des
+
+
 def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
     """Simulate the full closed loop over the scenario horizon.
 
-    Aborts with :class:`NonFiniteInputError` carrying the robot id and time
-    if any robot's planner receives a non-finite input.
+    A `ValueError` from a robot's planner tick, such as the
+    :class:`NonFiniteInputError` of a non-finite input, aborts the run with
+    its type kept and the robot id and time put in front of its message.
     """
     n = scenario.n_robots
     n_ticks = scenario.n_ticks
@@ -276,18 +290,15 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
     log_nbrs = np.empty((n_ticks, n), dtype=np.int64)
 
     for k in range(n_ticks):
-        d2 = square_distances(positions)
-        graph = build_graph(positions, scenario.r_c, d2)
         etas = [st.eta for st in states]
-        received = exchange(graph, etas)
-        v_des = potential_field(positions, goals, centers, radii, positions, d2, scenario.apf)
+        graph, received, v_des = swarm_half(scenario, positions, etas, goals, centers, radii)
         results = []
         rows = zip(states, v_des.tolist(), received, positions.tolist())
         for i, (st, v, nbrs, p) in enumerate(rows):
             try:
                 results.append(plan_tick(st, v, nbrs, p, dt))
-            except NonFiniteInputError as exc:
-                raise NonFiniteInputError(f"robot {i} at t={times[k]:.6f}s: {exc}") from exc
+            except ValueError as exc:
+                raise type(exc)(f"robot {i} at t={times[k]:.6f}s: {exc}") from exc
         for st, res in zip(states, results):
             st.eta = res.eta_next
         log_nbrs[k] = graph[0][1:] - graph[0][:-1]
@@ -296,8 +307,6 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, RunMetrics]:
         log_vel[k] = [res.v_cmd for res in results]
         log_eta[k] = [(e.phi, e.sx, e.sy, e.tx, e.ty) for e in etas]
         positions = step_world(positions, log_vel[k], dt)
-        # Dropped so that no stale N x N matrix outlives its tick.
-        del d2, graph, v_des
 
     log = TrajectoryLog(
         times=times,
@@ -325,7 +334,6 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
     spec = scenario.constraints
     slots = scenario.base.as_array()[None, :, :]
     centers, radii = obstacle_arrays(scenario.obstacles)
-    off_diagonal = ~np.eye(n, dtype=bool)
 
     formation_error = np.empty(t)
     disagreement = np.empty(t)
@@ -333,9 +341,6 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
     hard_violation_count = 0
     min_obstacle_clearance = min_d2 = math.inf
     ticks = max(1, _BLOCK_PAIRS // (n * n))
-    # The pair pass's two buffers, shared by every block: a block that
-    # allocated and dropped its own made the heap shrink and refault.
-    pairs = np.empty((2, min(ticks, t), n, n))
     for start in range(0, t, ticks):
         block = slice(start, start + ticks)
         etas = log.etas[block]
@@ -353,13 +358,7 @@ def compute_metrics(log: TrajectoryLog, scenario: Scenario) -> RunMetrics:
         gap = np.linalg.norm(positions[:, :, None, :] - centers, axis=-1) - radii
         min_obstacle_clearance = min(min_obstacle_clearance,
                                      float(np.min(gap, initial=math.inf)))
-
-        d2, d = pairs[:, : len(positions)]
-        np.subtract(positions[:, :, None, 0], positions[:, None, :, 0], out=d2)
-        d2 *= d2
-        np.subtract(positions[:, :, None, 1], positions[:, None, :, 1], out=d)
-        d2 += np.square(d, out=d)
-        min_d2 = min(min_d2, float(np.min(d2, where=off_diagonal, initial=math.inf)))
+        min_d2 = min(min_d2, float(square_distances(positions).min()))
 
     # The rotation is compared modulo a full turn: wrapped to (-pi, pi].
     delta = log.etas[-1].mean(axis=0) - scenario.eta_goal.as_array()

@@ -3,9 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swarmform import reference_scenario
+from swarmform import FormationParams, Scenario, reference_scenario, run, unit_grid
 from swarmform.bench import STEP_NAMES, bench, collect_samples
 from swarmform.planner import plan_tick
+
+from .test_swarm_tick import dense_bound_scenario
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,29 @@ class TestSampling:
             assert np.array_equal(r1.v_cmd, r2.v_cmd)
             assert r1.eta_next == r2.eta_next
             assert r1.a_s == r2.a_s
+
+
+    @pytest.mark.parametrize("scenario", [
+        replace(reference_scenario(), t_final=0.05),
+        dense_bound_scenario(),  # both constraint sets bind
+        Scenario(base=unit_grid(5, 1.0), eta_goal=FormationParams(0.3, 1.0, 1.0, 1.0, 0.5),
+                 r_c=1.5, t_final=0.03, init_noise_sigma=0.02),  # the range binds
+    ], ids=["reference", "dense_bound", "sparse"])
+    def test_each_sample_replays_what_its_robot_saw(self, scenario):
+        log, _ = run(scenario)
+        samples = collect_samples(scenario)
+        assert len(samples) == 256
+        for s in samples:
+            i = scenario.base.slots.index(s.state.slot)
+            at = ((log.positions[:, i] == s.p).all(axis=1)
+                  & (log.etas[:, i] == s.state.eta.as_array()).all(axis=1))
+            (k,) = at.nonzero()[0]  # the one logged tick the sample comes from
+            assert len(s.neighbors) == log.neighbor_counts[k, i]
+            res = plan_tick(s.state, s.v_des, s.neighbors, s.p, s.dt)
+            assert res.v_cmd == tuple(log.velocities[k, i].tolist())
+            assert res.a_s == log.a_s[k, i]
+            if k + 1 < log.n_ticks:
+                assert res.eta_next.as_array().tobytes() == log.etas[k + 1, i].tobytes()
 
 
 class TestBench:

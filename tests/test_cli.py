@@ -11,6 +11,8 @@ from swarmform import (
     reference_scenario,
 )
 from swarmform.cli import main
+
+from .conftest import SCENARIOS
 from swarmform.sweep import PARAM_FIELDS
 
 
@@ -190,6 +192,23 @@ def test_one_robot_run_reports_infinite_distances(tmp_path, capsys):
     lines = (out / "metrics.txt").read_text().splitlines()
     assert "min_robot_distance: inf" in lines
     assert "min_obstacle_clearance: inf" in lines
+
+
+@pytest.mark.filterwarnings("ignore::swarmform.PenetrationWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_failed_run_is_one_line_naming_the_robot_and_the_tick(tmp_path, capsys):
+    # A repulsion gain of 1e308 makes the first tick's field infinite, which
+    # the planner rejects; numpy's overflow warning is the expected one.
+    shipped = (SCENARIOS / "reference_noisy.yaml").read_text()
+    path = tmp_path / "overflow.yaml"
+    path.write_text(shipped.replace("k_rep: 5.0", "k_rep: 1.0e+308"))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+               "--t-final", "0.2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("swarmform: error: robot 0 at t=0.000000s: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_rejected_override_is_reported_without_traceback(tmp_path, scenario_file, capsys):

@@ -263,15 +263,16 @@ def soft_regions(spec: ConstraintSpec):
     steep = math.atan2(spec.delta_soft, eps)  # angle of the left arc endpoint
     swap = lambda p: (p[1], p[0])  # noqa: E731
     below_wall = st.tuples(st.floats(-1.0, eps), st.floats(-1.0, 3.0 * r))
-    in_band = st.builds(
+    # Inside the disk band, kept as they are, and just past its edge, pulled in.
+    near_band = st.builds(
         lambda a, k: _polar(a, r * math.sqrt(1.0 + k * _DISK_BAND)),
-        st.floats(0.0, math.pi / 2), st.floats(0.0, 1.0),
+        st.floats(0.0, math.pi / 2), st.floats(0.0, 2.0),
     )
     past_endpoint = st.builds(_polar, st.floats(steep, math.pi / 2), st.floats(r, 3.0 * r))
     return st.one_of(
         st.tuples(st.floats(-1.0, 3.0 * r), st.floats(-1.0, 3.0 * r)),
         below_wall, below_wall.map(swap),
-        in_band,
+        near_band,
         past_endpoint, past_endpoint.map(swap),
     )
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swarmform import FormationParams, build_graph, exchange, unit_grid
+from hypothesis.extra import numpy as hnp
+
+from swarmform import FormationParams, build_graph, exchange, square_distances, unit_grid
 
 from .helpers import neighbor_tuples
 
@@ -13,6 +15,27 @@ from .helpers import neighbor_tuples
 def neighbors(pts, r_c):
     """`build_graph` as one neighbour tuple per robot."""
     return neighbor_tuples(build_graph(pts, r_c=r_c))
+
+
+class TestSquareDistances:
+    @given(stack=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 10)).map(lambda tn: (*tn, 2)),
+        elements=st.floats(-1e3, 1e3),
+    ))
+    @example(stack=np.array([[[0.0, 1.0]], [[2.0, -3.0]]]))  # N = 1
+    @settings(max_examples=200, deadline=None)
+    def test_stack_is_the_per_tick_calls_bit_for_bit(self, stack):
+        t, n, _ = stack.shape
+        d2 = square_distances(stack)
+        assert d2.dtype == np.float64 and d2.shape == (t, n, n)
+        assert square_distances(stack[None]).tobytes() == d2.tobytes()
+        for k, frame in enumerate(stack.tolist()):
+            assert d2[k].tobytes() == square_distances(frame).tobytes()
+            for i, (xi, yi) in enumerate(frame):
+                for j, (xj, yj) in enumerate(frame):
+                    dx, dy = xi - xj, yi - yj
+                    assert d2[k, i, j] == (math.inf if i == j else dx * dx + dy * dy)
 
 
 class TestBuildGraph:

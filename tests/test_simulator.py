@@ -22,6 +22,7 @@ from swarmform import (
     TrajectoryLog,
     compute_metrics,
     initial_positions,
+    plan_tick,
     project_scaling,
     reference_scenario,
     run,
@@ -174,6 +175,25 @@ class TestRun:
         monkeypatch.setattr(swarmform.simulator, "potential_field", bad_field)
         with pytest.raises(NonFiniteInputError, match="robot 0 at t="):
             run(sc)
+
+    def test_planner_value_error_names_the_robot_and_the_tick(self, monkeypatch):
+        # Such as the ValueError of a non-finite rate, raised by FormationParams.
+        sc = tiny_scenario()
+        ticks = []
+
+        def failing_tick(state, *args):
+            if state.slot == sc.base.slots[2]:
+                ticks.append(None)
+                if len(ticks) == 4:
+                    raise ValueError("formation parameter phi must be finite")
+            return plan_tick(state, *args)
+
+        monkeypatch.setattr(swarmform.simulator, "plan_tick", failing_tick)
+        with pytest.raises(ValueError) as info:
+            run(sc)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            "robot 2 at t=0.003000s: formation parameter phi must be finite")
 
 
 class TestComputeMetrics:
